@@ -426,10 +426,6 @@ const TopologyComponents& CloudWorld::Components() const {
   return components_cache_;
 }
 
-uint32_t CloudWorld::TopologyComponentOf(NodeId node) const {
-  return Components().node_component[node.value() - 1];
-}
-
 uint32_t CloudWorld::topology_component_count() const {
   return Components().count;
 }

@@ -214,12 +214,10 @@ class CloudWorld {
                                                   EgressPolicy policy) const;
 
   // --- Components ------------------------------------------------------------
-  // Connected component of the topology a node belongs to, and how many
-  // components the world has. This is the unit of parallelism for
-  // ShardExecutor (disjoint worlds — e.g. isolated provider islands —
-  // advance on separate shards). Computed on demand and cached; adding
-  // nodes or links invalidates the cache.
-  uint32_t TopologyComponentOf(NodeId node) const;
+  // How many connected components the topology has. This is the unit of
+  // parallelism for ShardExecutor (disjoint worlds — e.g. isolated provider
+  // islands — advance on separate shards). Computed on demand and cached;
+  // adding nodes or links invalidates the cache.
   uint32_t topology_component_count() const;
 
  private:

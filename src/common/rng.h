@@ -51,10 +51,6 @@ class Rng {
   // Pareto (heavy-tailed) with scale x_min > 0 and shape alpha > 0.
   double NextPareto(double x_min, double alpha);
 
-  // Zipf-distributed rank in [0, n): rank k has probability proportional to
-  // 1/(k+1)^s. Precomputed-CDF sampler; construct ZipfSampler for hot loops.
-  uint64_t NextZipf(uint64_t n, double s);
-
   // Fork an independent stream (e.g. one per tenant) such that the child
   // sequence does not overlap the parent's in practice.
   Rng Fork();

@@ -1,6 +1,9 @@
 #include "src/core/api.h"
 
 #include <cassert>
+#include <string_view>
+
+#include "src/core/verdict_walk.h"
 
 namespace tenantnet {
 
@@ -37,12 +40,7 @@ DeclarativeCloud::ProviderState& DeclarativeCloud::Provider(ProviderId id) {
       qos_.RegisterPoint(region_id, zone.name);
     }
   }
-  // Late-created domains replay existing group state.
-  for (const auto& [group, record] : groups_) {
-    state.filters->SetGroup(group, std::vector<IpAddress>(
-                                       record.members.begin(),
-                                       record.members.end()));
-  }
+  ReplayGroups(*state.filters);
   return providers_.emplace(id, std::move(state)).first->second;
 }
 
@@ -62,12 +60,33 @@ DeclarativeCloud::OnPremState& DeclarativeCloud::OnPrem(OnPremId id) {
       site.name, queue_, params_.rng_seed ^ (id.value() << 32),
       params_.filter);
   state.filters->AddEdge(site.name + ":router");
-  for (const auto& [group, record] : groups_) {
-    state.filters->SetGroup(group, std::vector<IpAddress>(
-                                       record.members.begin(),
-                                       record.members.end()));
-  }
+  ReplayGroups(*state.filters);
   return on_prems_.emplace(id, std::move(state)).first->second;
+}
+
+// Late-created domains replay existing group state.
+void DeclarativeCloud::ReplayGroups(EdgeFilterBank& filters) const {
+  for (const auto& [group, record] : groups_) {
+    filters.SetGroup(group, std::vector<IpAddress>(record.members.begin(),
+                                                   record.members.end()));
+  }
+}
+
+EdgeFilterBank& DeclarativeCloud::BankOf(const EipRecord& record) {
+  return record.on_prem.valid() ? *OnPrem(record.on_prem).filters
+                                : *Provider(record.provider).filters;
+}
+
+void DeclarativeCloud::InstallEipRoute(IpAddress eip, ProviderId provider_id,
+                                       RegionId region) {
+  ProviderState& provider = Provider(provider_id);
+  // The provider carries a host route; how it aggregates is its business.
+  if (provider.rib.Install(
+          IpPrefix::Host(eip),
+          RouteEntry{world_->region(region).edge_node, RouteOrigin::kLocal, 0,
+                     RouteLabels().Intern("eip")})) {
+    ++provider.rib_revision;
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -96,15 +115,9 @@ Result<IpAddress> DeclarativeCloud::RequestEip(InstanceId vm) {
   } else {
     record.provider = inst->provider;
     record.region = inst->region;
-    ProviderState& provider = Provider(inst->provider);
-    TN_ASSIGN_OR_RETURN(record.addr, provider.eip_pool->Allocate());
-    // The provider carries a host route; how it aggregates is its business.
-    if (provider.rib.Install(
-            IpPrefix::Host(record.addr),
-            RouteEntry{world_->region(inst->region).edge_node,
-                       RouteOrigin::kLocal, 0, RouteLabels().Intern("eip")})) {
-      ++provider.rib_revision;
-    }
+    TN_ASSIGN_OR_RETURN(record.addr,
+                        Provider(inst->provider).eip_pool->Allocate());
+    InstallEipRoute(record.addr, inst->provider, inst->region);
   }
 
   ledger_->ApiCall("request_eip", "vm=" + std::to_string(vm.value()));
@@ -121,13 +134,11 @@ Status DeclarativeCloud::ReleaseEip(IpAddress eip) {
     return NotFoundError("no such EIP");
   }
   const EipRecord& record = it->second;
+  BankOf(record).RemovePermitList(eip);
   if (record.on_prem.valid()) {
-    OnPremState& site = OnPrem(record.on_prem);
-    site.filters->RemovePermitList(eip);
-    TN_RETURN_IF_ERROR(site.eip_pool->Release(eip));
+    TN_RETURN_IF_ERROR(OnPrem(record.on_prem).eip_pool->Release(eip));
   } else {
     ProviderState& provider = Provider(record.provider);
-    provider.filters->RemovePermitList(eip);
     TN_RETURN_IF_ERROR(provider.rib.Withdraw(IpPrefix::Host(eip)));
     ++provider.rib_revision;
     TN_RETURN_IF_ERROR(provider.eip_pool->Release(eip));
@@ -215,13 +226,7 @@ Result<SimTime> DeclarativeCloud::SetPermitList(
   for (size_t i = 0; i < entries.size(); ++i) {
     ledger_->SetParameter("set_permit_list", "entry");
   }
-  const EipRecord& record = it->second;
-  if (record.on_prem.valid()) {
-    return OnPrem(record.on_prem)
-        .filters->SetPermitList(eip, std::move(entries));
-  }
-  return Provider(record.provider)
-      .filters->SetPermitList(eip, std::move(entries));
+  return BankOf(it->second).SetPermitList(eip, std::move(entries));
 }
 
 Result<SimTime> DeclarativeCloud::UpdatePermitList(
@@ -237,13 +242,7 @@ Result<SimTime> DeclarativeCloud::UpdatePermitList(
   for (size_t i = 0; i < add.size() + remove.size(); ++i) {
     ledger_->SetParameter("update_permit_list", "entry");
   }
-  const EipRecord& record = it->second;
-  if (record.on_prem.valid()) {
-    return OnPrem(record.on_prem)
-        .filters->UpdatePermitList(eip, std::move(add), remove);
-  }
-  return Provider(record.provider)
-      .filters->UpdatePermitList(eip, std::move(add), remove);
+  return BankOf(it->second).UpdatePermitList(eip, std::move(add), remove);
 }
 
 // --------------------------------------------------------------------------
@@ -332,27 +331,20 @@ Result<std::vector<IpAddress>> DeclarativeCloud::GroupMembers(
 }
 
 Status DeclarativeCloud::SetQos(TenantId tenant, RegionId region,
-                                double bandwidth_bps) {
+                                double bandwidth_bps,
+                                std::optional<QosSelector> selector) {
   const RegionSite& site = world_->region(region);
   Provider(site.provider);  // ensures enforcement points exist
   SimTime now = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
-  TN_RETURN_IF_ERROR(qos_.SetQuota(tenant, region, bandwidth_bps, now));
-  ledger_->ApiCall("set_qos", site.name + " bw=" +
-                                  std::to_string(bandwidth_bps));
-  return Status::Ok();
-}
-
-Status DeclarativeCloud::SetQos(TenantId tenant, RegionId region,
-                                double bandwidth_bps, QosSelector selector) {
-  const RegionSite& site = world_->region(region);
-  Provider(site.provider);
-  SimTime now = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  const bool scoped = selector.has_value();
   TN_RETURN_IF_ERROR(
       qos_.SetQuota(tenant, region, bandwidth_bps, now, std::move(selector)));
   ledger_->ApiCall("set_qos", site.name + " bw=" +
                                   std::to_string(bandwidth_bps) +
-                                  " (scoped)");
-  ledger_->SetParameter("set_qos", "traffic-selector");
+                                  (scoped ? " (scoped)" : ""));
+  if (scoped) {
+    ledger_->SetParameter("set_qos", "traffic-selector");
+  }
   return Status::Ok();
 }
 
@@ -407,13 +399,7 @@ void DeclarativeCloud::NotifyInstanceUp(InstanceId instance) {
   sip_lb_.SetHealth(eip, true);
   auto eit = eips_.find(eip);
   if (eit != eips_.end() && eit->second.provider.valid()) {
-    ProviderState& provider = Provider(eit->second.provider);
-    if (provider.rib.Install(
-            IpPrefix::Host(eip),
-            RouteEntry{world_->region(eit->second.region).edge_node,
-                       RouteOrigin::kLocal, 0, RouteLabels().Intern("eip")})) {
-      ++provider.rib_revision;
-    }
+    InstallEipRoute(eip, eit->second.provider, eit->second.region);
   }
 }
 
@@ -421,44 +407,79 @@ void DeclarativeCloud::NotifyInstanceUp(InstanceId instance) {
 // Data plane.
 // --------------------------------------------------------------------------
 
-bool DeclarativeCloud::AdmittedAtDestination(const EipRecord& dst,
-                                             const FiveTuple& flow,
-                                             std::string* where) const {
-  if (dst.on_prem.valid()) {
-    auto it = on_prems_.find(dst.on_prem);
-    assert(it != on_prems_.end());
-    *where = world_->on_prem(dst.on_prem).name + ":router";
-    return it->second.filters->Admits(0, flow);
+DeclarativeCloud::DestinationEdge DeclarativeCloud::DestinationEdgeOf(
+    const EipRecord& endpoint) const {
+  // RequestEip created the endpoint's domain, so both lookups hit.
+  if (endpoint.on_prem.valid()) {
+    const EdgeFilterBank& bank = *on_prems_.at(endpoint.on_prem).filters;
+    return {&bank, 0, bank.edge_name(0)};
   }
-  auto it = providers_.find(dst.provider);
-  assert(it != providers_.end());
-  size_t edge = it->second.edge_index.at(dst.region);
-  *where = world_->provider(dst.provider).name + ":" +
-           world_->region(dst.region).name;
-  return it->second.filters->Admits(edge, flow);
+  const ProviderState& provider = providers_.at(endpoint.provider);
+  size_t edge = provider.edge_index.at(endpoint.region);
+  return {provider.filters.get(), edge, provider.filters->edge_name(edge)};
 }
 
 Result<DeclarativeCloud::DestinationEdge> DeclarativeCloud::DestinationEdgeOf(
-    IpAddress eip) {
-  auto it = eips_.find(eip);
-  if (it == eips_.end()) {
+    IpAddress eip) const {
+  const EipRecord* record = FindEip(eip);
+  if (record == nullptr) {
     return NotFoundError("no endpoint holds " + eip.ToString());
   }
-  const EipRecord& record = it->second;
-  DestinationEdge edge;
-  if (record.on_prem.valid()) {
-    edge.bank = OnPrem(record.on_prem).filters.get();
-    edge.edge_index = 0;
-    edge.where = world_->on_prem(record.on_prem).name + ":router";
-    return edge;
-  }
-  ProviderState& provider = Provider(record.provider);
-  edge.bank = provider.filters.get();
-  edge.edge_index = provider.edge_index.at(record.region);
-  edge.where = world_->provider(record.provider).name + ":" +
-               world_->region(record.region).name;
-  return edge;
+  return DestinationEdgeOf(*record);
 }
+
+namespace {
+
+// Data-plane effects for the verdict walk: one backend through the SIP
+// pick counter, the edge's cached matcher, and a DeclarativeDelivery.
+struct DeliveryEffects {
+  void Hop(DeclarativeStage stage, std::string_view where = {}) {
+    d.provider_hops.push_back(DeclarativeHopLabel(stage, where));
+  }
+
+  void Deny(DeclarativeStage stage, const FiveTuple& flow,
+            std::string_view why) {
+    d.drop_stage = DeclarativeStageName(stage);
+    d.drop_reason = flow.src.ToString() + " -> " + flow.dst.ToString() +
+                    ": " + std::string(why);
+  }
+
+  template <typename Walk>
+  Status ForEachBackend(IpAddress sip, Walk walk) {
+    Result<IpAddress> backend = cloud->sip_lb().Resolve(sip);
+    if (!backend.ok()) {
+      return backend.status();
+    }
+    d.effective_dst = *backend;
+    walk(*this, *backend);
+    return Status::Ok();
+  }
+
+  bool Admits(const DeclarativeCloud::DestinationEdge& edge,
+              const FiveTuple& flow) {
+    return edge.bank->Admits(edge.edge_index, flow);
+  }
+
+  void Deliver(const EipRecord& endpoint) {
+    d.delivered = true;
+    d.dst_node = endpoint.host_node;
+    if (src == nullptr) {
+      return;  // internet traffic keeps the hot-potato profile
+    }
+    // Intra-provider traffic rides the backbone; external traffic follows
+    // the tenant's potato profile.
+    const bool intra = endpoint.provider.valid() &&
+                       endpoint.provider == src->provider;
+    d.egress_policy = intra ? EgressPolicy::kColdPotato
+                            : cloud->EgressProfileOf(src->tenant);
+  }
+
+  DeclarativeCloud* cloud = nullptr;
+  const Instance* src = nullptr;  // null for internet traffic
+  DeclarativeDelivery d = {};
+};
+
+}  // namespace
 
 Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
                                                        IpAddress dst,
@@ -472,116 +493,28 @@ Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
   if (sit == eip_by_instance_.end()) {
     return FailedPreconditionError("source instance has no EIP (request_eip)");
   }
-
-  DeclarativeDelivery d;
-  d.src_node = src_inst->host_node;
-  d.effective_src = sit->second;
-  d.effective_dst = dst;
-  d.vm_egress_cap_bps = src_inst->vm_egress_cap_bps;
-
-  FiveTuple flow;
-  flow.src = sit->second;
-  flow.dst = dst;
-  flow.src_port = 40000 + static_cast<uint16_t>(src.value() % 20000);
-  flow.dst_port = dst_port;
-  flow.proto = proto;
-
-  // SIP resolution (provider anycast load balancer).
-  if (IsSip(dst)) {
-    d.provider_hops.push_back("sip-lb");
-    Result<IpAddress> backend = sip_lb_.Resolve(dst);
-    if (!backend.ok()) {
-      d.drop_stage = "sip";
-      d.drop_reason = backend.status().message();
-      return d;
-    }
-    flow.dst = *backend;
-    d.effective_dst = *backend;
-  }
-
-  auto dit = eips_.find(flow.dst);
-  if (dit == eips_.end()) {
-    d.drop_stage = "no-such-endpoint";
-    d.drop_reason = "no endpoint holds " + flow.dst.ToString();
-    return d;
-  }
-  const EipRecord& dst_record = dit->second;
-
-  const Instance* dst_inst = world_->FindInstance(dst_record.instance);
-  if (dst_inst == nullptr || !dst_inst->running) {
-    d.drop_stage = "instance-down";
-    d.drop_reason = "endpoint " + flow.dst.ToString() + " is not running";
-    return d;
-  }
-
-  std::string where;
-  bool admitted = AdmittedAtDestination(dst_record, flow, &where);
-  d.provider_hops.push_back("edge-filter@" + where);
-  if (!admitted) {
-    d.drop_stage = "edge-filter";
-    d.drop_reason = "default-off: " + flow.src.ToString() +
-                    " is not on the permit list of " + flow.dst.ToString();
-    return d;
-  }
-
-  d.delivered = true;
-  d.dst_node = dst_record.host_node;
-  // Intra-provider traffic rides the backbone; external traffic follows the
-  // tenant's potato profile.
-  if (dst_record.provider.valid() && src_inst->provider.valid() &&
-      dst_record.provider == src_inst->provider) {
-    d.egress_policy = EgressPolicy::kColdPotato;
-  } else {
-    d.egress_policy = EgressProfileOf(src_inst->tenant);
-  }
-  return d;
+  const uint16_t src_port = 40000 + static_cast<uint16_t>(src.value() % 20000);
+  const FiveTuple flow{sit->second, dst, src_port, dst_port, proto};
+  DeliveryEffects fx{this, src_inst};
+  fx.d.effective_src = flow.src;
+  fx.d.effective_dst = dst;
+  fx.d.src_node = src_inst->host_node;
+  fx.d.vm_egress_cap_bps = src_inst->vm_egress_cap_bps;
+  WalkDeclarativeVerdict(*world_, *this, flow, fx);
+  return std::move(fx.d);
 }
 
 DeclarativeDelivery DeclarativeCloud::EvaluateExternal(IpAddress src,
                                                        IpAddress dst,
                                                        uint16_t dst_port,
                                                        Protocol proto) {
-  DeclarativeDelivery d;
-  d.effective_src = src;
-  d.effective_dst = dst;
-  d.egress_policy = EgressPolicy::kHotPotato;
-
-  FiveTuple flow;
-  flow.src = src;
-  flow.dst = dst;
-  flow.src_port = 55555;
-  flow.dst_port = dst_port;
-  flow.proto = proto;
-
-  if (IsSip(dst)) {
-    d.provider_hops.push_back("sip-lb");
-    Result<IpAddress> backend = sip_lb_.Resolve(dst);
-    if (!backend.ok()) {
-      d.drop_stage = "sip";
-      d.drop_reason = backend.status().message();
-      return d;
-    }
-    flow.dst = *backend;
-    d.effective_dst = *backend;
-  }
-
-  auto dit = eips_.find(flow.dst);
-  if (dit == eips_.end()) {
-    d.drop_stage = "no-such-endpoint";
-    d.drop_reason = "no endpoint holds " + flow.dst.ToString();
-    return d;
-  }
-  std::string where;
-  if (!AdmittedAtDestination(dit->second, flow, &where)) {
-    d.drop_stage = "edge-filter";
-    d.drop_reason = "default-off at " + where;
-    d.provider_hops.push_back("edge-filter@" + where);
-    return d;
-  }
-  d.provider_hops.push_back("edge-filter@" + where);
-  d.delivered = true;
-  d.dst_node = dit->second.host_node;
-  return d;
+  const FiveTuple flow{src, dst, 55555, dst_port, proto};
+  DeliveryEffects fx{this, nullptr};
+  fx.d.effective_src = src;
+  fx.d.effective_dst = dst;
+  fx.d.egress_policy = EgressPolicy::kHotPotato;
+  WalkDeclarativeVerdict(*world_, *this, flow, fx);
+  return std::move(fx.d);
 }
 
 // --------------------------------------------------------------------------
@@ -613,10 +546,6 @@ size_t DeclarativeCloud::ProviderRibEntries(ProviderId provider) {
   return Provider(provider).rib.entry_count();
 }
 
-size_t DeclarativeCloud::ProviderRibNodes(ProviderId provider) {
-  return Provider(provider).rib.node_count();
-}
-
 size_t DeclarativeCloud::ProviderAggregatedRibEntries(ProviderId provider) {
   ProviderState& state = Provider(provider);
   if (!state.aggregated_valid || state.aggregated_at != state.rib_revision) {
@@ -626,10 +555,6 @@ size_t DeclarativeCloud::ProviderAggregatedRibEntries(ProviderId provider) {
     state.aggregated_valid = true;
   }
   return state.aggregated_entries;
-}
-
-uint64_t DeclarativeCloud::ProviderRibRevision(ProviderId provider) {
-  return Provider(provider).rib_revision;
 }
 
 }  // namespace tenantnet

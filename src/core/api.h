@@ -29,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,7 +65,7 @@ struct SipRecord {
 // The verdict for one evaluated flow in the declarative world.
 struct DeclarativeDelivery {
   bool delivered = false;
-  std::string drop_stage;   // "edge-filter", "sip", "no-eip", ...
+  std::string drop_stage;   // a DeclarativeStageName (verdict_walk.h)
   std::string drop_reason;
   std::vector<std::string> provider_hops;  // provider-side steps (not tenant
                                            // boxes; there are none)
@@ -122,11 +123,10 @@ class DeclarativeCloud {
   // The group's current members (for tests/inspection).
   Result<std::vector<IpAddress>> GroupMembers(EndpointGroupId group) const;
 
-  Status SetQos(TenantId tenant, RegionId region, double bandwidth_bps);
-  // Scoped variant (extension, §4 footnote): only traffic matching the
-  // selector consumes the reservation.
+  // With a selector (extension, §4 footnote), only traffic matching it
+  // consumes the reservation.
   Status SetQos(TenantId tenant, RegionId region, double bandwidth_bps,
-                QosSelector selector);
+                std::optional<QosSelector> selector = std::nullopt);
 
   // The hot/cold potato profile (per tenant; §4 adopts this unchanged).
   Status SetEgressProfile(TenantId tenant, EgressPolicy profile);
@@ -156,20 +156,22 @@ class DeclarativeCloud {
   bool IsSip(IpAddress addr) const { return sips_.count(addr) > 0; }
 
   SipLoadBalancer& sip_lb() { return sip_lb_; }
+  const SipLoadBalancer& sip_lb() const { return sip_lb_; }
   EgressQuotaManager& qos() { return qos_; }
   EdgeFilterBank& provider_filters(ProviderId provider);
   EdgeFilterBank& on_prem_filters(OnPremId site);
 
-  // The enforcing filter bank and ingress edge for an EIP's hosting domain
-  // (provider region edge, or the on-prem site router), plus the label
-  // AdmittedAtDestination reports. The reach query engine walks the
-  // compiled matchers through this without evaluating traffic.
+  // The enforcing filter bank and ingress edge for an endpoint's hosting
+  // domain (provider region edge, or the on-prem site router). `where`
+  // views the edge's name, which lives as long as this cloud. The verdict
+  // walk asks the edge's matcher; the reach verifier keys on its epochs.
   struct DestinationEdge {
-    EdgeFilterBank* bank = nullptr;
+    const EdgeFilterBank* bank = nullptr;
     size_t edge_index = 0;
-    std::string where;
+    std::string_view where;
   };
-  Result<DestinationEdge> DestinationEdgeOf(IpAddress eip);
+  DestinationEdge DestinationEdgeOf(const EipRecord& endpoint) const;
+  Result<DestinationEdge> DestinationEdgeOf(IpAddress eip) const;
 
   // Revision hook (reach-verifier keying): bumped when the address topology
   // changes — EIP/SIP allocation or release. Permit-list and binding churn
@@ -179,15 +181,10 @@ class DeclarativeCloud {
 
   // E4a: the provider's routing state under flat EIPs.
   size_t ProviderRibEntries(ProviderId provider);
-  size_t ProviderRibNodes(ProviderId provider);
   // Minimal table if the provider aggregates its (contiguous) allocations.
-  // Cached against ProviderRibRevision: repeated calls with no intervening
-  // RIB change do not re-aggregate.
+  // Cached against the RIB's change-only revision: repeated calls with no
+  // intervening RIB change do not re-aggregate.
   size_t ProviderAggregatedRibEntries(ProviderId provider);
-  // Bumped only when the provider's EIP RIB actually changes (install of a
-  // new/different host route, or a successful withdraw) — the declarative
-  // analogue of the BGP mesh's mutation count.
-  uint64_t ProviderRibRevision(ProviderId provider);
 
   size_t eip_count() const { return eips_.size(); }
 
@@ -213,10 +210,9 @@ class DeclarativeCloud {
 
   ProviderState& Provider(ProviderId id);
   OnPremState& OnPrem(OnPremId id);
-
-  // Default-off admission check at the destination's ingress edge.
-  bool AdmittedAtDestination(const EipRecord& dst, const FiveTuple& flow,
-                             std::string* where) const;
+  void ReplayGroups(EdgeFilterBank& filters) const;
+  EdgeFilterBank& BankOf(const EipRecord& record);
+  void InstallEipRoute(IpAddress eip, ProviderId provider, RegionId region);
 
   CloudWorld* world_;
   ConfigLedger* ledger_;

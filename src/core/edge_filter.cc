@@ -93,7 +93,6 @@ SimDuration EdgeFilterBank::SampleDeliveryLatency() {
   for (int attempt = 0;
        attempt < 64 && rng_.NextBool(params_.degraded_drop_prob); ++attempt) {
     ++messages_dropped_;
-    ++retransmissions_;
     ++messages_;  // the retransmit is one more control-plane message
     latency += params_.degraded_retransmit;
   }

@@ -136,8 +136,6 @@ class CompiledPermitList {
     return group_scopes_;
   }
 
-  size_t prefix_node_count() const { return prefix_index_.node_count(); }
-
   // Matcher footprint (trie arena + scope heap), for E10 accounting.
   size_t ApproxBytes() const;
 
@@ -207,6 +205,9 @@ class EdgeFilterBank {
   // Registers an ingress edge; returns its index.
   size_t AddEdge(const std::string& name);
   size_t edge_count() const { return edges_.size(); }
+  const std::string& edge_name(size_t edge_index) const {
+    return edges_[edge_index].name;
+  }
 
   // Replaces the permit list for `endpoint` on every edge. Returns the
   // simulated time at which the *last* edge has applied it (== now when no
@@ -303,7 +304,6 @@ class EdgeFilterBank {
   uint64_t update_messages_sent() const { return messages_; }
   uint64_t endpoints_with_lists() const { return master_lists_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
-  uint64_t retransmissions() const { return retransmissions_; }
 
   // --- Memory accounting (E10) ---------------------------------------------
   // Resident footprint of the bank's endpoint-indexed state: slot index,
@@ -489,7 +489,6 @@ class EdgeFilterBank {
   EdgeFilterParams params_;
   bool degraded_ = false;
   uint64_t messages_dropped_ = 0;
-  uint64_t retransmissions_ = 0;
   std::vector<EdgeState> edges_;
 
   // Endpoint slot index + bank-wide SoA columns (all sized to slot count).

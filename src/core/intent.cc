@@ -4,6 +4,49 @@
 
 namespace tenantnet {
 
+namespace {
+
+const ServiceSpec* FindService(const AppSpec& app, const std::string& name) {
+  for (const ServiceSpec& spec : app.services) {
+    if (spec.name == name) {
+      return &spec;
+    }
+  }
+  return nullptr;
+}
+
+// A service's inbound permit list: its callers' groups on its service
+// port, plus the world on that port when it is public.
+Result<std::vector<PermitEntry>> ServicePermits(const AppSpec& app,
+                                                const ServiceSpec& spec,
+                                                const DeployedApp& deployed) {
+  std::vector<PermitEntry> permits;
+  for (const CallEdge& edge : app.calls) {
+    if (edge.callee != spec.name) {
+      continue;
+    }
+    auto cit = deployed.services.find(edge.caller);
+    if (cit == deployed.services.end()) {
+      return FailedPreconditionError("caller not deployed: " + edge.caller);
+    }
+    PermitEntry entry;
+    entry.source_group = cit->second.group;
+    permits.push_back(entry);
+  }
+  if (spec.public_facing) {
+    PermitEntry anyone;
+    anyone.source = IpPrefix::Any(IpFamily::kIpv4);
+    permits.push_back(anyone);
+  }
+  for (PermitEntry& entry : permits) {
+    entry.dst_ports = PortRange::Single(spec.port);
+    entry.proto = spec.proto;
+  }
+  return permits;
+}
+
+}  // namespace
+
 Result<IpAddress> DeployedApp::AddressOf(const std::string& service) const {
   auto it = services.find(service);
   if (it == services.end()) {
@@ -41,13 +84,7 @@ std::vector<FiveTuple> ExpectedFlows(const AppSpec& app,
     if (cit == deployed.services.end() || sit == deployed.services.end()) {
       continue;  // undeployed edge carries no intent
     }
-    const ServiceSpec* callee_spec = nullptr;
-    for (const ServiceSpec& spec : app.services) {
-      if (spec.name == edge.callee) {
-        callee_spec = &spec;
-        break;
-      }
-    }
+    const ServiceSpec* callee_spec = FindService(app, edge.callee);
     if (callee_spec == nullptr) {
       continue;
     }
@@ -73,28 +110,14 @@ std::vector<FiveTuple> ExpectedFlows(const AppSpec& app,
   return flows;
 }
 
-const ServiceSpec* IntentDeployer::FindSpec(const AppSpec& app,
-                                            const std::string& name) const {
-  for (const ServiceSpec& spec : app.services) {
-    if (spec.name == name) {
-      return &spec;
-    }
-  }
-  return nullptr;
-}
-
 Result<DeployedApp> IntentDeployer::Deploy(const AppSpec& app) {
   // Validate the call graph first: every edge must name declared services.
   for (const CallEdge& edge : app.calls) {
-    if (FindSpec(app, edge.caller) == nullptr ||
-        FindSpec(app, edge.callee) == nullptr) {
+    if (FindService(app, edge.caller) == nullptr ||
+        FindService(app, edge.callee) == nullptr) {
       return InvalidArgumentError("call edge references unknown service: " +
                                   edge.caller + " -> " + edge.callee);
     }
-  }
-  std::map<std::string, std::vector<std::string>> callers_of;
-  for (const CallEdge& edge : app.calls) {
-    callers_of[edge.callee].push_back(edge.caller);
   }
 
   DeployedApp deployed;
@@ -120,25 +143,10 @@ Result<DeployedApp> IntentDeployer::Deploy(const AppSpec& app) {
     deployed.services.emplace(spec.name, std::move(handles));
   }
 
-  // Pass 2: permit lists from the call graph. Each service permits its
-  // callers' groups on its service port; public services additionally
-  // permit the world on that port.
+  // Pass 2: permit lists from the call graph.
   for (const ServiceSpec& spec : app.services) {
-    std::vector<PermitEntry> permits;
-    for (const std::string& caller : callers_of[spec.name]) {
-      PermitEntry entry;
-      entry.source_group = deployed.services.at(caller).group;
-      entry.dst_ports = PortRange::Single(spec.port);
-      entry.proto = spec.proto;
-      permits.push_back(entry);
-    }
-    if (spec.public_facing) {
-      PermitEntry anyone;
-      anyone.source = IpPrefix::Any(IpFamily::kIpv4);
-      anyone.dst_ports = PortRange::Single(spec.port);
-      anyone.proto = spec.proto;
-      permits.push_back(anyone);
-    }
+    TN_ASSIGN_OR_RETURN(std::vector<PermitEntry> permits,
+                        ServicePermits(app, spec, deployed));
     const auto& handles = deployed.services.at(spec.name);
     for (const auto& [value, eip] : handles.eip_by_instance) {
       TN_RETURN_IF_ERROR(cloud_->SetPermitList(eip, permits).status());
@@ -154,7 +162,7 @@ Status IntentDeployer::AddInstance(DeployedApp& app, const AppSpec& spec,
   if (it == app.services.end()) {
     return NotFoundError("no such deployed service: " + service);
   }
-  const ServiceSpec* service_spec = FindSpec(spec, service);
+  const ServiceSpec* service_spec = FindService(spec, service);
   if (service_spec == nullptr) {
     return NotFoundError("service not in spec: " + service);
   }
@@ -166,29 +174,8 @@ Status IntentDeployer::AddInstance(DeployedApp& app, const AppSpec& spec,
   }
 
   // The newcomer needs the same inbound permit list as its siblings.
-  std::map<std::string, std::vector<std::string>> callers_of;
-  for (const CallEdge& edge : spec.calls) {
-    callers_of[edge.callee].push_back(edge.caller);
-  }
-  std::vector<PermitEntry> permits;
-  for (const std::string& caller : callers_of[service]) {
-    auto cit = app.services.find(caller);
-    if (cit == app.services.end()) {
-      return FailedPreconditionError("caller not deployed: " + caller);
-    }
-    PermitEntry entry;
-    entry.source_group = cit->second.group;
-    entry.dst_ports = PortRange::Single(service_spec->port);
-    entry.proto = service_spec->proto;
-    permits.push_back(entry);
-  }
-  if (service_spec->public_facing) {
-    PermitEntry anyone;
-    anyone.source = IpPrefix::Any(IpFamily::kIpv4);
-    anyone.dst_ports = PortRange::Single(service_spec->port);
-    anyone.proto = service_spec->proto;
-    permits.push_back(anyone);
-  }
+  TN_ASSIGN_OR_RETURN(std::vector<PermitEntry> permits,
+                      ServicePermits(spec, *service_spec, app));
   return cloud_->SetPermitList(eip, permits).status();
 }
 

@@ -94,9 +94,6 @@ class IntentDeployer {
                         InstanceId instance);
 
  private:
-  const ServiceSpec* FindSpec(const AppSpec& app,
-                              const std::string& name) const;
-
   DeclarativeCloud* cloud_;
 };
 

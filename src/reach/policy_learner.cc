@@ -102,7 +102,7 @@ ReachabilityIntent PolicyLearner::Synthesize() const {
 }
 
 std::vector<PolicyLearner::Drift> PolicyLearner::DetectDrift(
-    const ReachabilityIntent& intent, DeclarativeCloud& cloud) {
+    const ReachabilityIntent& intent, const DeclarativeCloud& cloud) {
   std::vector<Drift> drifts;
   for (const auto& [dst, desired] : intent.permits) {
     std::vector<PermitEntry> installed;

@@ -86,7 +86,7 @@ class PolicyLearner {
   // Compares `intent` against the installed master lists of every intent
   // destination. Empty result == no drift.
   static std::vector<Drift> DetectDrift(const ReachabilityIntent& intent,
-                                        DeclarativeCloud& cloud);
+                                        const DeclarativeCloud& cloud);
 
   // Applies the deltas through the normal mutators (UpdatePermitList), so
   // reconciliation pays the same fan-out/latency as any tenant update.

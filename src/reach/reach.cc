@@ -1,9 +1,13 @@
 #include "src/reach/reach.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "src/app/workload.h"
+#include "src/core/verdict_walk.h"
 #include "src/routing/route_table.h"
 
 namespace tenantnet {
@@ -52,13 +56,32 @@ const ReachTriageNode& TriageTree() {
 
 uint32_t Via(const std::string& label) { return RouteLabels().Intern(label); }
 
-// Marks the verdict denied at `stage`: the trace ends there, and the deny
+// A declarative stage's trace and deny ids, interned once from its name.
+struct StageIds {
+  uint32_t via = 0;
+  uint32_t deny = 0;
+};
+
+const StageIds& IdsOf(DeclarativeStage stage) {
+  constexpr size_t kCount = std::size(kDeclarativeStageNames);
+  static const std::array<StageIds, kCount> kIds = [] {
+    std::array<StageIds, kCount> ids;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const std::string name(kDeclarativeStageNames[i]);
+      ids[i] = {Via(name), DenyStage(name)};
+    }
+    return ids;
+  }();
+  return kIds[static_cast<size_t>(stage)];
+}
+
+// Marks the verdict denied at a stage: the trace ends there, and the deny
 // stage id comes from the same interner the workload counters use.
-void Deny(ReachVerdict& verdict, const std::string& stage) {
+void DenyAt(ReachVerdict& verdict, StageIds ids) {
   verdict.reachable = false;
   verdict.all_backends = false;
-  verdict.deny_stage = DenyStage(stage);
-  verdict.stages.push_back(Via(stage));
+  verdict.deny_stage = ids.deny;
+  verdict.stages.push_back(ids.via);
 }
 
 void FinishTriage(ReachVerdict& verdict, const ReachFacts& facts) {
@@ -111,134 +134,100 @@ std::string ReachVerdict::ToString() const {
 // Declarative engine.
 // ---------------------------------------------------------------------------
 
-void DeclarativeReachEngine::ReachConcrete(IpAddress src_eip, IpAddress dst,
-                                           uint16_t dst_port, Protocol proto,
-                                           ReachVerdict& verdict,
-                                           ReachFacts& facts) const {
-  const EipRecord* record = cloud_->FindEip(dst);
-  if (record == nullptr) {
-    facts.dst_known = false;
-    Deny(verdict, "no-such-endpoint");
-    return;
-  }
-  facts.dst_known = true;
+namespace {
 
-  const Instance* dst_inst = world_->FindInstance(record->instance);
-  if (dst_inst == nullptr || !dst_inst->running) {
-    facts.dst_running = false;
-    Deny(verdict, "instance-down");
-    return;
+// Query effects for the verdict walk: read-only and uncached. Every healthy
+// SIP binding is walked (∃ for `reachable`, ∀ for `all_backends`), the
+// compiled matcher is asked without the verdict cache, and the walk lands
+// in a ReachVerdict plus the ReachFacts the triage tree reads.
+struct QueryEffects {
+  void Hop(DeclarativeStage stage, std::string_view where = {}) {
+    verdict.stages.push_back(where.empty()
+                                 ? IdsOf(stage).via
+                                 : Via(DeclarativeHopLabel(stage, where)));
   }
-  facts.dst_running = true;
 
-  Result<DeclarativeCloud::DestinationEdge> edge =
-      cloud_->DestinationEdgeOf(dst);
-  if (!edge.ok()) {
-    Deny(verdict, "no-such-endpoint");
-    return;
+  // Stages are declared in walk order, so a denial at an endpoint stage
+  // means every endpoint check before it passed.
+  void Deny(DeclarativeStage stage, const FiveTuple&, std::string_view = {}) {
+    if (stage >= DeclarativeStage::kNoSuchEndpoint) {
+      facts.dst_known = stage > DeclarativeStage::kNoSuchEndpoint;
+      facts.dst_running = stage > DeclarativeStage::kInstanceDown;
+      facts.filtered = stage == DeclarativeStage::kEdgeFilter;
+    }
+    DenyAt(verdict, IdsOf(stage));
   }
-  verdict.stages.push_back(Via("edge-filter@" + edge->where));
 
-  // The same admission question the data plane asks, minus the traffic: the
-  // compiled matcher at the destination's enforcement edge, bypassing the
-  // verdict cache so the query leaves no data-plane trace. src_port is
-  // irrelevant to permit matching.
-  FiveTuple flow;
-  flow.src = src_eip;
-  flow.dst = dst;
-  flow.dst_port = dst_port;
-  flow.proto = proto;
-  if (!edge->bank->AdmitsUncached(edge->edge_index, flow)) {
-    facts.filtered = true;
-    Deny(verdict, "edge-filter");
-    return;
+  // Bindings(), not Resolve(): the data plane's pick counter must not move
+  // because someone asked a question. The reported trace is the first
+  // reachable backend's walk (or the first backend's, when none reach) —
+  // deterministic in binding order.
+  template <typename Walk>
+  Status ForEachBackend(IpAddress sip, Walk walk) {
+    facts.dst_is_sip = facts.dst_known = true;
+    Result<std::vector<SipLoadBalancer::Binding>> bindings =
+        cloud->sip_lb().Bindings(sip);
+    if (!bindings.ok()) {
+      return bindings.status();
+    }
+    std::erase_if(*bindings, [](const auto& b) { return !b.healthy; });
+    if (bindings->empty()) {
+      return FailedPreconditionError("no healthy backend");
+    }
+    facts.sip_has_healthy_backend = true;
+    size_t reached = 0;
+    std::optional<QueryEffects> repr;
+    for (const SipLoadBalancer::Binding& binding : *bindings) {
+      QueryEffects branch = *this;
+      walk(branch, binding.eip);
+      reached += branch.verdict.reachable ? 1 : 0;
+      if (!repr || (branch.verdict.reachable && !repr->verdict.reachable)) {
+        repr = std::move(branch);
+      }
+    }
+    *this = std::move(*repr);
+    verdict.reachable = reached > 0;
+    verdict.all_backends = reached == bindings->size();
+    return Status::Ok();
   }
-  verdict.reachable = true;
-  verdict.stages.push_back(Via("deliver"));
-}
+
+  bool Admits(const DeclarativeCloud::DestinationEdge& edge,
+              const FiveTuple& flow) {
+    return edge.bank->AdmitsUncached(edge.edge_index, flow);
+  }
+
+  // EIP destinations are exact: the ∀-bound collapses onto `reachable`.
+  void Deliver(const EipRecord&) {
+    verdict.reachable = verdict.all_backends = true;
+    verdict.stages.push_back(IdsOf(DeclarativeStage::kDeliver).via);
+  }
+
+  const DeclarativeCloud* cloud = nullptr;
+  ReachVerdict verdict = {};
+  ReachFacts facts = {};
+};
+
+}  // namespace
 
 ReachVerdict DeclarativeReachEngine::CanReach(InstanceId src, IpAddress dst,
                                               uint16_t dst_port,
                                               Protocol proto) const {
-  ReachVerdict verdict;
-  ReachFacts facts;
-
+  QueryEffects fx{cloud_};
+  FiveTuple flow{{}, dst, 0, dst_port, proto};  // permits ignore src_port
   const Instance* src_inst = world_->FindInstance(src);
-  if (src_inst == nullptr || !src_inst->running) {
-    Deny(verdict, "src-down");
-    FinishTriage(verdict, facts);
-    return verdict;
-  }
   std::optional<IpAddress> src_eip = cloud_->EipOf(src);
-  if (!src_eip.has_value()) {
-    Deny(verdict, "no-eip");
-    FinishTriage(verdict, facts);
-    return verdict;
+  if (src_inst == nullptr || !src_inst->running) {
+    fx.Deny(DeclarativeStage::kSrcDown, flow);
+  } else if (!src_eip.has_value()) {
+    fx.Deny(DeclarativeStage::kNoEip, flow);
+  } else {
+    flow.src = *src_eip;
+    fx.facts.src_usable = true;
+    fx.Hop(DeclarativeStage::kSrcEip);
+    WalkDeclarativeVerdict(*world_, *cloud_, flow, fx);
   }
-  facts.src_usable = true;
-  verdict.stages.push_back(Via("src-eip"));
-
-  if (cloud_->IsSip(dst)) {
-    facts.dst_is_sip = true;
-    facts.dst_known = true;
-    verdict.stages.push_back(Via("sip-lb"));
-
-    // Side-effect-free enumeration: Bindings(), not Resolve() — the data
-    // plane's pick counter must not move because someone asked a question.
-    Result<std::vector<SipLoadBalancer::Binding>> bindings =
-        cloud_->sip_lb().Bindings(dst);
-    std::vector<IpAddress> healthy;
-    if (bindings.ok()) {
-      for (const SipLoadBalancer::Binding& b : *bindings) {
-        if (b.healthy) {
-          healthy.push_back(b.eip);
-        }
-      }
-    }
-    if (healthy.empty()) {
-      facts.sip_has_healthy_backend = false;
-      Deny(verdict, "sip");
-      FinishTriage(verdict, facts);
-      return verdict;
-    }
-    facts.sip_has_healthy_backend = true;
-
-    // ∃-semantics with a ∀-bound: walk every healthy backend. The reported
-    // trace is the first reachable backend's walk (or the first backend's,
-    // when none reach) — deterministic in binding order.
-    size_t reached = 0;
-    bool have_repr = false;
-    ReachVerdict repr;
-    ReachFacts repr_facts;
-    for (const IpAddress& backend : healthy) {
-      ReachVerdict walk = verdict;   // shared prefix: src-eip -> sip-lb
-      ReachFacts walk_facts = facts;
-      ReachConcrete(*src_eip, backend, dst_port, proto, walk, walk_facts);
-      if (walk.reachable) {
-        ++reached;
-      }
-      if (!have_repr || (walk.reachable && !repr.reachable)) {
-        repr = std::move(walk);
-        repr_facts = walk_facts;
-        have_repr = true;
-      }
-    }
-    verdict = std::move(repr);
-    facts = repr_facts;
-    verdict.reachable = reached > 0;
-    verdict.all_backends = reached == healthy.size();
-    if (!verdict.reachable) {
-      // The representative walk already recorded its deny stage.
-      verdict.all_backends = false;
-    }
-    FinishTriage(verdict, facts);
-    return verdict;
-  }
-
-  ReachConcrete(*src_eip, dst, dst_port, proto, verdict, facts);
-  verdict.all_backends = verdict.reachable;
-  FinishTriage(verdict, facts);
-  return verdict;
+  FinishTriage(fx.verdict, fx.facts);
+  return std::move(fx.verdict);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,11 +269,11 @@ ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
     const std::string& msg = result.status().message();
     if (msg.find("unknown") != std::string::npos) {
       facts.dst_known = false;
-      Deny(verdict, "no-such-endpoint");
+      DenyAt(verdict, IdsOf(DeclarativeStage::kNoSuchEndpoint));
     } else {
       facts.dst_running = false;
       facts.src_usable = true;
-      Deny(verdict, "instance-down");
+      DenyAt(verdict, IdsOf(DeclarativeStage::kInstanceDown));
     }
     FinishTriage(verdict, facts);
     return verdict;
@@ -299,12 +288,12 @@ ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
   if (d.delivered) {
     verdict.reachable = true;
     verdict.all_backends = true;  // instance destinations are exact
-    verdict.stages.push_back(Via("deliver"));
+    verdict.stages.push_back(IdsOf(DeclarativeStage::kDeliver).via);
     return verdict;
   }
   const std::string stage = d.drop_stage.empty() ? "denied" : d.drop_stage;
   BaselineFactsFromDrop(stage, facts);
-  Deny(verdict, stage);
+  DenyAt(verdict, {Via(stage), DenyStage(stage)});
   FinishTriage(verdict, facts);
   return verdict;
 }
@@ -355,15 +344,8 @@ DeclarativeReachVerifier::DepKey DeclarativeReachVerifier::KeyFor(
 }
 
 ReachSweepStats DeclarativeReachVerifier::VerifyAll() {
-  ReachSweepStats stats;
-  stats.pairs = pairs_.size();
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    const Pair& p = pairs_[i];
-    keys_[i] = KeyFor(p);
-    verdicts_[i] = engine_.CanReach(p.src, p.dst, p.dst_port, p.proto);
-    ++stats.recomputed;
-  }
-  return stats;
+  keys_.assign(pairs_.size(), DepKey{});  // invalid keys recompute
+  return Revalidate();
 }
 
 ReachSweepStats DeclarativeReachVerifier::Revalidate() {

@@ -4,7 +4,8 @@
 // PR 3 made single-flow verdicts fast; this layer answers the tenant-level
 // question on top of them, over *both* worlds:
 //
-//  * DeclarativeReachEngine walks the Table-2 state directly — EIP/SIP
+//  * DeclarativeReachEngine runs the data plane's own stage walk
+//    (src/core/verdict_walk.h) under a read-only effects policy — EIP/SIP
 //    bindings, instance liveness, and the compiled permit-list matchers at
 //    the destination's enforcement edge — without evaluating traffic: no
 //    SIP pick counter advances, no inspection counters move, no verdict
@@ -90,23 +91,19 @@ struct ReachVerdict {
 
 class DeclarativeReachEngine {
  public:
-  // Holds references; both must outlive the engine. `cloud` is mutated only
-  // in the sense that lazily created enforcement domains may materialize —
-  // no tenant-visible state changes, and no data-plane counter moves.
-  DeclarativeReachEngine(CloudWorld& world, DeclarativeCloud& cloud)
+  // Holds references; both must outlive the engine. Queries only read them.
+  DeclarativeReachEngine(const CloudWorld& world,
+                         const DeclarativeCloud& cloud)
       : world_(&world), cloud_(&cloud) {}
 
+  // The source settled here, then the same stage walk as Evaluate()
+  // (src/core/verdict_walk.h) under a read-only, uncached effects policy.
   ReachVerdict CanReach(InstanceId src, IpAddress dst, uint16_t dst_port,
                         Protocol proto) const;
 
  private:
-  // Tail of the walk once dst is a concrete EIP. Appends to `verdict`.
-  void ReachConcrete(IpAddress src_eip, IpAddress dst, uint16_t dst_port,
-                     Protocol proto, ReachVerdict& verdict,
-                     ReachFacts& facts) const;
-
-  CloudWorld* world_;
-  DeclarativeCloud* cloud_;
+  const CloudWorld* world_;
+  const DeclarativeCloud* cloud_;
 };
 
 class BaselineReachEngine {
@@ -143,7 +140,8 @@ class DeclarativeReachVerifier {
     Protocol proto = Protocol::kTcp;
   };
 
-  DeclarativeReachVerifier(CloudWorld& world, DeclarativeCloud& cloud)
+  DeclarativeReachVerifier(const CloudWorld& world,
+                           const DeclarativeCloud& cloud)
       : world_(&world), cloud_(&cloud), engine_(world, cloud) {}
 
   // Replaces the pair set; all pairs start dirty.
@@ -177,8 +175,8 @@ class DeclarativeReachVerifier {
   };
   DepKey KeyFor(const Pair& pair) const;
 
-  CloudWorld* world_;
-  DeclarativeCloud* cloud_;
+  const CloudWorld* world_;
+  const DeclarativeCloud* cloud_;
   DeclarativeReachEngine engine_;
   std::vector<Pair> pairs_;
   std::vector<ReachVerdict> verdicts_;

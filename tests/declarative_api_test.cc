@@ -194,6 +194,20 @@ TEST_F(DeclarativeTest, ExternalTrafficDefaultOff) {
   EXPECT_TRUE(open.delivered);
 }
 
+TEST_F(DeclarativeTest, ExternalTrafficToStoppedInstanceIsDropped) {
+  InstanceId a = Launch(tw_.east);
+  IpAddress ea = *cloud_.RequestEip(a);
+  IpAddress client = IpAddress::V4(203, 0, 113, 7);
+  ASSERT_TRUE(cloud_.SetPermitList(ea, {Permit("203.0.113.0/24")}).ok());
+  ASSERT_TRUE(tw_.world->SetInstanceRunning(a, false).ok());
+  cloud_.NotifyInstanceDown(a);
+  // Permitted, but nothing is there to receive it: the same stage the
+  // tenant-source path reports.
+  auto external = cloud_.EvaluateExternal(client, ea, 443, Protocol::kTcp);
+  EXPECT_FALSE(external.delivered);
+  EXPECT_EQ(external.drop_stage, "instance-down");
+}
+
 TEST_F(DeclarativeTest, OnPremEndpointsParticipateUniformly) {
   InstanceId cloud_vm = Launch(tw_.east);
   InstanceId onprem_vm =
