@@ -18,7 +18,6 @@
 // probability. Run with arg "smoke" for the CI fast path.
 
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -378,7 +377,7 @@ void RunStaleness(double drop_prob, int rounds) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
+  bool smoke = tenantnet::SmokeArg(argc, argv);
   tenantnet::BenchJsonWriter json("resilience", argc, argv);
   tenantnet::g_json = &json;
   tenantnet::StormConfig cfg;

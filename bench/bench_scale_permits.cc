@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -383,7 +382,7 @@ void VerdictSweep(BenchJsonWriter& json, bool smoke) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
+  bool smoke = tenantnet::SmokeArg(argc, argv);
   tenantnet::BenchJsonWriter json("scale_permits", argc, argv);
   tenantnet::Banner("E4b", "Scalability: dynamic shared permit-lists (§6 i)");
   tenantnet::StaticSweep(smoke);

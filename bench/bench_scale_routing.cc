@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -488,7 +487,7 @@ void BaselineVerdictSweep(BenchJsonWriter& json, bool smoke) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
+  bool smoke = tenantnet::SmokeArg(argc, argv);
   tenantnet::BenchJsonWriter json("scale_routing", argc, argv);
   tenantnet::Run(smoke);
   tenantnet::ChurnSweep(json, smoke);

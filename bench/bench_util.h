@@ -9,6 +9,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <string>
@@ -25,6 +26,24 @@ inline size_t PeakRssBytes() {
     return 0;
   }
   return static_cast<size_t>(usage.ru_maxrss) * 1024;
+}
+
+// The quick mode of the sweep benches: `smoke` runs the CI-sized case, no
+// argument the full sweep. `--json_out=<path>` belongs to BenchJsonWriter.
+// Anything else is a usage error (exit 2), so a typo cannot silently run the
+// full sweep.
+inline bool SmokeArg(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "smoke") == 0) {
+      smoke = true;
+    } else if (std::strncmp(argv[i], "--json_out=", 11) != 0) {
+      std::fprintf(stderr, "usage: %s [smoke] [--json_out=<path>]\n",
+                   argv[0]);
+      std::exit(2);
+    }
+  }
+  return smoke;
 }
 
 class TablePrinter {

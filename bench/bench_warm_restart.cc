@@ -24,12 +24,11 @@
 //
 // A summary record per seed carries the warm/cold blackholed-bytes ratio;
 // CI gates it (< 0.10) via scripts/check_bench_regression.py against
-// bench/baselines/warm_restart_smoke_baseline.json. Run with arg "smoke"
+// bench/baselines/smoke_gates.json. Run with arg "smoke"
 // for the CI fast path.
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -335,7 +334,7 @@ RoutingRunResult RunRoutingStorm(RestartMode mode,
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
+  bool smoke = tenantnet::SmokeArg(argc, argv);
   tenantnet::BenchJsonWriter json("warm_restart", argc, argv);
   tenantnet::g_json = &json;
 

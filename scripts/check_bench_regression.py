@@ -1,455 +1,160 @@
 #!/usr/bin/env python3
-"""Gate bench results: compare BENCH_*.json against a checked-in baseline.
+"""Gate bench results against declarative baseline records.
 
 Usage:
-  check_bench_regression.py BASELINE CURRENT [CURRENT ...] [--max-regression R]
+  check_bench_regression.py BASELINE CURRENT [CURRENT ...]
 
-BASELINE is a checked-in JSON array of gate records. Two record kinds are
-understood; a baseline may mix them:
+BASELINE is a JSON array of gate records (bench/baselines/smoke_gates.json);
+each CURRENT is a JSON array of bench records (the BENCH_*.json artifacts).
+Every gate record is checked by the same rule. Its keys are:
 
-Verdict-sweep records (see bench/baselines/verdict_smoke_baseline.json),
-matched on (bench, endpoints|instances, entries_per_ep): a matched record
-whose warm_vps fell more than R (default 0.30) below the baseline fails the
-gate, as does a baseline record with no current counterpart. warm_hit_rate
-is also checked (absolute drop > 0.2 fails): throughput is
-machine-dependent, but hit rate is not — a cache that stopped caching shows
-up there regardless of how fast the runner is.
+  match          {key: value}: the gate applies to the one current record,
+                 across all CURRENT files, whose keys equal these values.
+  min_<field>    the matched record's <field> must be >= the value.
+  max_<field>    ... <= the value.
+  require_<field> ... == the value.
+  when           optional {bound: value}, bounds of the same three forms on
+                 the matched record; if one is not met the gate prints SKIP
+                 (e.g. a speedup floor on a runner with too few cores).
+  comment        free text.
 
-Churn-convergence records (see bench/baselines/routing_churn_smoke_baseline.json),
-matched on (bench, prefixes, speakers): the baseline states a
-min_speedup_incremental floor and the current record (from the
-bench_scale_routing churn sweep) reports the measured speedup_incremental —
-incremental convergence per churn op vs a from-scratch convergence. The
-ratio of two timings on the same machine is hardware-independent enough to
-gate everywhere, unlike raw throughput.
-
-Shard-scaling records (see bench/baselines/shard_smoke_baseline.json),
-matched on (bench, scenario, flows, threads): the baseline states a
-min_speedup_vs_1thread floor and the current record (from the
-bench_flow_sim thread sweep) reports the measured speedup_vs_1thread. The
-speedup check is SKIPPED when the runner has fewer hardware threads than
-the record's thread count (a 1-core container cannot exhibit parallel
-speedup), but matches_1thread — the determinism cross-check, which is
-hardware-independent — must hold everywhere.
-
-Warm-restart records (see bench/baselines/warm_restart_smoke_baseline.json),
-matched on (bench, storm_seed): the baseline states a max_blackhole_ratio
-ceiling and the current record (from the bench_warm_restart summary line)
-reports warm_cold_blackhole_ratio — bytes blackholed during warm restarts
-as a fraction of the cold-restart figure for the same seeded storm. The
-ratio of two sim-time measurements on the same machine is fully
-hardware-independent. When the baseline sets require_routing_match, the
-current record's routing_matches_full_rebuild must be 1 (the reconciled
-routing state diffed clean against a from-scratch rebuild).
-
-Reach-revalidation records (see bench/baselines/reach_smoke_baseline.json),
-matched on (bench, world, pairs): the baseline states a
-min_revalidate_speedup floor and an (optional) max_recompute_fraction
-ceiling for the E12 sweep (bench_config_fragility) — the current record
-reports revalidate_speedup (a from-scratch reachability sweep vs the mean
-incremental revalidation after one mutation, same machine, so the ratio is
-hardware-independent) and recompute_fraction (pairs recomputed / total,
-pure counting). When the baseline sets require_identical, the current
-record's fingerprint_identical must be 1: the incremental sweep landed on
-bytes identical to a from-scratch verifier, i.e. it is an optimization,
-never an approximation.
-
-Flow-churn records (see bench/baselines/flowsim_churn_smoke_baseline.json),
-matched on (bench, scenario, flows, mode): the baseline may state a
-min_events_per_sec floor and a max_realloc_mean_us ceiling for the
-bench_flow_sim churn scenarios — raw throughput, so the floors carry large
-margins for slow runners — plus two hardware-INDEPENDENT gates:
-max_mean_flows_touched (pure counting; the incremental re-leveler losing
-its scoping shows up here as ~component-size regardless of machine speed)
-and max_full_fills (an incremental run that falls back to from-scratch
-fills has lost the optimization even if the box is fast enough to hide it).
-
-Memory-diet records (see bench/baselines/million_smoke_baseline.json),
-matched on (bench, endpoints, entries_per_ep): the baseline states a
-max_bytes_per_endpoint ceiling and a min_reduction_vs_prediet floor for
-the E10 sweep (bench_million) — both byte-accounting ratios, fully
-hardware-independent. warm_vps is gated with the same R tolerance as the
-verdict records (the fast path must survive the diet), warm_hit_rate
-against min_warm_hit_rate, and streaming_pending_events against
-max_streaming_pending (the open-loop generator must stay O(patterns), not
-O(transactions)).
+A gate fails when no current record matches (MISSING), more than one does
+(AMBIGUOUS), a bounded field is absent from the matched record, or a bound
+is violated. Any other key in a gate is a baseline error. Exit status is 0
+only when the baseline is well formed and no gate fails.
 """
 
-import argparse
 import json
 import sys
 
-
-def verdict_key(rec):
-    return (
-        rec.get("bench"),
-        rec.get("endpoints"),
-        rec.get("instances"),
-        rec.get("entries_per_ep"),
-    )
+OPS = {
+    "min_": (">=", lambda got, want: got >= want),
+    "max_": ("<=", lambda got, want: got <= want),
+    "require_": ("==", lambda got, want: got == want),
+}
+PLAIN_KEYS = ("match", "when", "comment")
 
 
-def shard_key(rec):
-    return (
-        rec.get("bench"),
-        rec.get("scenario"),
-        rec.get("flows"),
-        rec.get("threads"),
-    )
+def split_bound(key):
+    """'min_warm_vps' -> ('min_', 'warm_vps'); None if `key` is no bound."""
+    for prefix in OPS:
+        if key.startswith(prefix) and len(key) > len(prefix):
+            return prefix, key[len(prefix):]
+    return None
 
 
-def load_records(path):
+def bounds_of(obj):
+    return {k: v for k, v in obj.items() if split_bound(k)}
+
+
+def gate_errors(gate):
+    """Everything wrong with one gate record's shape, as messages."""
+    if not isinstance(gate, dict):
+        return ["gate is not a JSON object"]
+    errors = []
+    match = gate.get("match")
+    if not isinstance(match, dict) or not match:
+        errors.append("'match' must be a non-empty object")
+    when = gate.get("when", {})
+    if not isinstance(when, dict):
+        errors.append("'when' must be an object")
+        when = {}
+    for key in gate:
+        if key not in PLAIN_KEYS and not split_bound(key):
+            errors.append(f"unknown key '{key}'")
+    for key in when:
+        if not split_bound(key):
+            errors.append(f"unknown key '{key}' in 'when'")
+    if not bounds_of(gate):
+        errors.append("no min_/max_/require_ bound")
+    return errors
+
+
+def check_bounds(bounds, rec):
+    """[(text, ok)] per bound on `rec`; ok is None when the field is absent."""
+    results = []
+    for key, want in bounds.items():
+        prefix, field = split_bound(key)
+        symbol, holds = OPS[prefix]
+        got = rec.get(field)
+        if got is None:
+            results.append((f"{field} absent (want {symbol} {want})", None))
+            continue
+        try:
+            ok = holds(got, want)
+        except TypeError:
+            ok = False
+        results.append((f"{field} {got} {symbol} {want}", ok))
+    return results
+
+
+def evaluate(gate, current):
+    """(status, detail) for one well-formed gate against all current records.
+
+    status is PASS, FAIL, SKIP, MISSING or AMBIGUOUS. A `when` field that is
+    absent fails like a bound's, rather than skipping.
+    """
+    hits = [r for r in current
+            if all(k in r and r[k] == v for k, v in gate["match"].items())]
+    if not hits:
+        return "MISSING", "no current record matches"
+    if len(hits) > 1:
+        return "AMBIGUOUS", f"{len(hits)} current records match"
+    rec = hits[0]
+    when = check_bounds(gate.get("when", {}), rec)
+    absent = [(t, ok) for t, ok in when if ok is None]
+    if not absent and not all(ok for _, ok in when):
+        return "SKIP", "when not met: " + ", ".join(t for t, ok in when
+                                                   if not ok)
+    results = absent + check_bounds(bounds_of(gate), rec)
+    detail = ", ".join(t if ok else f"{t} << FAILED" for t, ok in results)
+    return ("PASS" if all(ok for _, ok in results) else "FAIL"), detail
+
+
+def gate_name(gate):
+    return " ".join(f"{k}={v}" for k, v in gate["match"].items())
+
+
+def load_array(path):
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array")
-    return [r for r in data if isinstance(r, dict)]
+    return data
 
 
-def check_verdicts(baseline, current_files, max_regression):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "warm_vps" in rec:
-                current[verdict_key(rec)] = rec
-
-    failed = False
-    floor = 1.0 - max_regression
-    print(f"{'bench':<28} {'size':>8} {'baseline':>14} {'current':>14} {'ratio':>7}")
-    for base in baseline:
-        k = verdict_key(base)
-        size = base.get("endpoints") or base.get("instances") or "-"
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<28} {size:>8} {base['warm_vps']:>14.0f} {'MISSING':>14}")
-            failed = True
-            continue
-        ratio = cur["warm_vps"] / base["warm_vps"] if base["warm_vps"] else 0.0
-        verdict = "" if ratio >= floor else "  << REGRESSION"
-        print(
-            f"{k[0]:<28} {size:>8} {base['warm_vps']:>14.0f} "
-            f"{cur['warm_vps']:>14.0f} {ratio:>7.2f}{verdict}"
-        )
-        if ratio < floor:
-            failed = True
-        base_hr = base.get("warm_hit_rate")
-        cur_hr = cur.get("warm_hit_rate")
-        if base_hr is not None and cur_hr is not None and cur_hr < base_hr - 0.2:
-            print(f"  warm_hit_rate fell {base_hr:.3f} -> {cur_hr:.3f}")
-            failed = True
-    return failed
-
-
-def check_shards(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "speedup_vs_1thread" in rec:
-                current[shard_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<20} {'scenario':<12} {'flows':>7} {'threads':>7} "
-          f"{'min':>6} {'got':>6}")
-    for base in baseline:
-        k = shard_key(base)
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-                  f"{base['min_speedup_vs_1thread']:>6.2f} {'MISSING':>7}")
-            failed = True
-            continue
-        # Determinism is hardware-independent: a thread sweep whose counters
-        # diverge from the 1-thread run is broken no matter how fast it is.
-        if cur.get("matches_1thread") is False:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-                  "NONDETERMINISTIC (diverged from 1-thread run)")
-            failed = True
-            continue
-        hw = cur.get("hw_threads")
-        threads = base.get("threads") or 0
-        if hw is not None and hw < threads:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-                  f"{base['min_speedup_vs_1thread']:>6.2f} "
-                  f"SKIP (only {hw} hw threads)")
-            continue
-        got = cur["speedup_vs_1thread"]
-        floor = base["min_speedup_vs_1thread"]
-        verdict = "" if got >= floor else "  << TOO SLOW"
-        print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-              f"{floor:>6.2f} {got:>6.2f}{verdict}")
-        if got < floor:
-            failed = True
-    return failed
-
-
-def churn_key(rec):
-    return (rec.get("bench"), rec.get("prefixes"), rec.get("speakers"))
-
-
-def check_churn(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "speedup_incremental" in rec:
-                current[churn_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<20} {'prefixes':>9} {'speakers':>9} {'min':>7} {'got':>9}")
-    for base in baseline:
-        k = churn_key(base)
-        floor = base["min_speedup_incremental"]
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<20} {k[1]:>9} {k[2]:>9} {floor:>7.1f} {'MISSING':>9}")
-            failed = True
-            continue
-        got = cur["speedup_incremental"]
-        verdict = "" if got >= floor else "  << TOO SLOW"
-        print(f"{k[0]:<20} {k[1]:>9} {k[2]:>9} {floor:>7.1f} {got:>9.1f}"
-              f"{verdict}")
-        if got < floor:
-            failed = True
-    return failed
-
-
-def restart_key(rec):
-    return (rec.get("bench"), rec.get("storm_seed"))
-
-
-def check_restarts(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "warm_cold_blackhole_ratio" in rec:
-                current[restart_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<24} {'seed':>6} {'max':>6} {'got':>8}")
-    for base in baseline:
-        k = restart_key(base)
-        ceiling = base["max_blackhole_ratio"]
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<24} {k[1]:>6} {ceiling:>6.2f} {'MISSING':>8}")
-            failed = True
-            continue
-        got = cur["warm_cold_blackhole_ratio"]
-        verdict = "" if got <= ceiling else "  << TOO MUCH BLACKHOLE"
-        print(f"{k[0]:<24} {k[1]:>6} {ceiling:>6.2f} {got:>8.4f}{verdict}")
-        if got > ceiling:
-            failed = True
-        if base.get("require_routing_match") and \
-                cur.get("routing_matches_full_rebuild") != 1:
-            print(f"{k[0]:<24} {k[1]:>6} reconciled routing state diverged "
-                  "from full rebuild")
-            failed = True
-    return failed
-
-
-def reach_key(rec):
-    return (rec.get("bench"), rec.get("world"), rec.get("pairs"))
-
-
-def check_reach(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "revalidate_speedup" in rec:
-                current[reach_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<20} {'world':<12} {'pairs':>7} {'min':>6} {'got':>7} "
-          f"{'frac':>7}")
-    for base in baseline:
-        k = reach_key(base)
-        floor = base["min_revalidate_speedup"]
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {floor:>6.1f} "
-                  f"{'MISSING':>7}")
-            failed = True
-            continue
-        got = cur["revalidate_speedup"]
-        frac = cur.get("recompute_fraction", 0.0)
-        problems = []
-        if got < floor:
-            problems.append("TOO SLOW")
-        max_frac = base.get("max_recompute_fraction")
-        if max_frac is not None and frac > max_frac:
-            problems.append("RECOMPUTES TOO MUCH")
-        if base.get("require_identical") and \
-                cur.get("fingerprint_identical") != 1:
-            problems.append("INCREMENTAL DIVERGED FROM SCRATCH")
-        verdict = ("  << " + ", ".join(problems)) if problems else ""
-        print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {floor:>6.1f} {got:>7.2f} "
-              f"{frac:>7.4f}{verdict}")
-        if problems:
-            failed = True
-    return failed
-
-
-def flow_churn_key(rec):
-    return (
-        rec.get("bench"),
-        rec.get("scenario"),
-        rec.get("flows"),
-        rec.get("mode"),
-    )
-
-
-def check_flow_churn(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if rec.get("bench") == "flow_sim_churn" and "events_per_sec" in rec:
-                current[flow_churn_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<16} {'scenario':<18} {'flows':>6} {'ev/s floor':>10} "
-          f"{'got':>8} {'us max':>6} {'got':>7} {'touch max':>9} {'got':>7}")
-    for base in baseline:
-        k = flow_churn_key(base)
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<16} {k[1]:<18} {k[2]:>6} {'MISSING':>10}")
-            failed = True
-            continue
-        problems = []
-        min_eps = base.get("min_events_per_sec")
-        if min_eps is not None and cur["events_per_sec"] < min_eps:
-            problems.append("TOO SLOW")
-        max_us = base.get("max_realloc_mean_us")
-        if max_us is not None and cur.get("realloc_mean_us", 0.0) > max_us:
-            problems.append("REALLOC TOO SLOW")
-        max_touch = base.get("max_mean_flows_touched")
-        touch = cur.get("mean_flows_touched_per_realloc", 0.0)
-        if max_touch is not None and touch > max_touch:
-            problems.append("SCOPING LOST")
-        max_full = base.get("max_full_fills")
-        if max_full is not None and cur.get("full_fills", 0) > max_full:
-            problems.append("FELL BACK TO FULL FILLS")
-        verdict = ("  << " + ", ".join(problems)) if problems else ""
-        print(f"{k[0]:<16} {k[1]:<18} {k[2]:>6} "
-              f"{min_eps if min_eps is not None else '-':>10} "
-              f"{cur['events_per_sec']:>8.0f} "
-              f"{max_us if max_us is not None else '-':>6} "
-              f"{cur.get('realloc_mean_us', 0.0):>7.2f} "
-              f"{max_touch if max_touch is not None else '-':>9} "
-              f"{touch:>7.1f}{verdict}")
-        if problems:
-            failed = True
-    return failed
-
-
-def million_key(rec):
-    return (rec.get("bench"), rec.get("endpoints"), rec.get("entries_per_ep"))
-
-
-def check_million(baseline, current_files, max_regression):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "bytes_per_endpoint" in rec:
-                current[million_key(rec)] = rec
-
-    failed = False
-    floor = 1.0 - max_regression
-    print(f"{'bench':<16} {'endpoints':>9} {'B/ep':>7} {'max':>6} "
-          f"{'redux':>6} {'min':>5} {'vps ratio':>9} {'pending':>7}")
-    for base in baseline:
-        k = million_key(base)
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<16} {k[1]:>9} {'MISSING':>7}")
-            failed = True
-            continue
-        bpe = cur["bytes_per_endpoint"]
-        max_bpe = base["max_bytes_per_endpoint"]
-        redux = cur.get("reduction_vs_prediet", 0.0)
-        min_redux = base.get("min_reduction_vs_prediet", 0.0)
-        ratio = (cur["warm_vps"] / base["warm_vps"]
-                 if base.get("warm_vps") else 1.0)
-        pending = cur.get("streaming_pending_events")
-        max_pending = base.get("max_streaming_pending")
-        problems = []
-        if bpe > max_bpe:
-            problems.append("TOO FAT")
-        if redux < min_redux:
-            problems.append("REDUCTION BELOW FLOOR")
-        if ratio < floor:
-            problems.append("VERDICT REGRESSION")
-        min_hit = base.get("min_warm_hit_rate")
-        if min_hit is not None and cur.get("warm_hit_rate", 0.0) < min_hit:
-            problems.append("CACHE STOPPED CACHING")
-        if max_pending is not None and pending is not None \
-                and pending > max_pending:
-            problems.append("GENERATOR NOT FLAT")
-        verdict = ("  << " + ", ".join(problems)) if problems else ""
-        print(f"{k[0]:<16} {k[1]:>9} {bpe:>7.1f} {max_bpe:>6.0f} "
-              f"{redux:>6.1f} {min_redux:>5.1f} {ratio:>9.2f} "
-              f"{pending if pending is not None else '-':>7}{verdict}")
-        if problems:
-            failed = True
-    return failed
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current", nargs="+")
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="allowed fractional drop in warm_vps before failing (default 0.30)",
-    )
-    args = parser.parse_args()
-
-    baseline = load_records(args.baseline)
-    million_base = [r for r in baseline if "max_bytes_per_endpoint" in r]
-    verdict_base = [r for r in baseline
-                    if "warm_vps" in r and "max_bytes_per_endpoint" not in r]
-    shard_base = [r for r in baseline if "min_speedup_vs_1thread" in r]
-    churn_base = [r for r in baseline if "min_speedup_incremental" in r]
-    restart_base = [r for r in baseline if "max_blackhole_ratio" in r]
-    reach_base = [r for r in baseline if "min_revalidate_speedup" in r]
-    flow_churn_base = [r for r in baseline
-                       if r.get("bench") == "flow_sim_churn"
-                       and ("min_events_per_sec" in r
-                            or "max_mean_flows_touched" in r)]
-    if not verdict_base and not shard_base and not churn_base \
-            and not restart_base and not million_base and not reach_base \
-            and not flow_churn_base:
-        print(f"error: no gate records in baseline {args.baseline}")
+def run(baseline_path, current_paths):
+    """Prints one line per gate; returns the process exit status."""
+    gates = load_array(baseline_path)
+    errors = [f"gate {i}: {e}" for i, g in enumerate(gates)
+              for e in gate_errors(g)]
+    if not gates:
+        errors.append("no gate records")
+    if errors:
+        for e in errors:
+            print(f"error: {baseline_path}: {e}")
         return 1
-
-    current_files = [load_records(p) for p in args.current]
-
-    failed = False
-    if verdict_base:
-        failed |= check_verdicts(verdict_base, current_files,
-                                 args.max_regression)
-    if shard_base:
-        failed |= check_shards(shard_base, current_files)
-    if churn_base:
-        failed |= check_churn(churn_base, current_files)
-    if restart_base:
-        failed |= check_restarts(restart_base, current_files)
-    if million_base:
-        failed |= check_million(million_base, current_files,
-                                args.max_regression)
-    if reach_base:
-        failed |= check_reach(reach_base, current_files)
-    if flow_churn_base:
-        failed |= check_flow_churn(flow_churn_base, current_files)
-
+    current = [r for p in current_paths for r in load_array(p)
+               if isinstance(r, dict)]
+    failed = 0
+    for gate in gates:
+        status, detail = evaluate(gate, current)
+        failed += status not in ("PASS", "SKIP")
+        print(f"{status:<9} {gate_name(gate)}: {detail}")
     if failed:
-        print("\nFAIL: bench gate violated (regression, missing record, "
-              "insufficient parallel/incremental speedup, or nondeterminism)")
+        print(f"\nFAIL: {failed} of {len(gates)} bench gates failed")
         return 1
-    print("\nOK: all bench gates within tolerance")
+    print(f"\nOK: all {len(gates)} bench gates hold")
     return 0
 
 
+def main(argv):
+    if len(argv) < 3 or any(a.startswith("-") for a in argv[1:]):
+        print("usage: check_bench_regression.py BASELINE CURRENT [CURRENT ...]",
+              file=sys.stderr)
+        return 2
+    return run(argv[1], argv[2:])
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

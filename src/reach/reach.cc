@@ -236,18 +236,17 @@ ReachVerdict DeclarativeReachEngine::CanReach(InstanceId src, IpAddress dst,
 
 namespace {
 
-bool StartsWith(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-// Maps the fabric's drop-stage vocabulary onto the triage facts.
-void BaselineFactsFromDrop(const std::string& stage, ReachFacts& facts) {
-  if (StartsWith(stage, "sg") || StartsWith(stage, "acl") ||
-      StartsWith(stage, "dpi") || StartsWith(stage, "firewall")) {
+// Maps the fabric's drop-stage vocabulary onto the triage facts: the
+// filtering stages by exact name; every other stage (route tables, gateways,
+// peering, return routes, BGP, DX/VPN, internet) means the flow was not
+// carried to the destination.
+void BaselineFactsFromDrop(std::string_view stage, ReachFacts& facts) {
+  static constexpr std::array<std::string_view, 6> kFilterStages = {
+      "sg-egress",   "sg-ingress", "acl-egress",
+      "acl-ingress", "acl-return", "firewall"};
+  if (std::ranges::find(kFilterStages, stage) != kFilterStages.end()) {
     facts.filtered = true;
-  } else if (StartsWith(stage, "route") || StartsWith(stage, "tgw") ||
-             StartsWith(stage, "peering") || StartsWith(stage, "igw") ||
-             StartsWith(stage, "nat") || StartsWith(stage, "no-")) {
+  } else {
     facts.routed = false;
   }
 }

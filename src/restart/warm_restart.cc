@@ -83,10 +83,6 @@ std::vector<uint32_t> WarmRestartCoordinator::ComponentIds() const {
   return ids;
 }
 
-const std::string& WarmRestartCoordinator::ComponentName(uint32_t id) const {
-  return Get(id).component.name;
-}
-
 WarmRestartCoordinator::Entry& WarmRestartCoordinator::Get(uint32_t id) {
   assert(id < components_.size());
   return components_[id];
@@ -104,12 +100,6 @@ void WarmRestartCoordinator::Checkpoint(uint32_t id) {
   // checkpoint stays authoritative until reconcile.
   if (!entry.in_restart) {
     entry.component.checkpoint();
-  }
-}
-
-void WarmRestartCoordinator::CheckpointAll() {
-  for (uint32_t i = 0; i < components_.size(); ++i) {
-    Checkpoint(i);
   }
 }
 

@@ -1832,10 +1832,6 @@ VpcRouteTable* BaselineNetwork::FindRouteTable(VpcRouteTableId id) {
   auto it = tables_.find(id);
   return it == tables_.end() ? nullptr : it->second.get();
 }
-NetworkAcl* BaselineNetwork::FindAcl(NetworkAclId id) {
-  auto it = acls_.find(id);
-  return it == acls_.end() ? nullptr : it->second.get();
-}
 std::vector<VpcRouteTableId> BaselineNetwork::AllRouteTables() const {
   std::vector<VpcRouteTableId> out;
   out.reserve(tables_.size());
@@ -1870,13 +1866,6 @@ DpiFirewall* BaselineNetwork::FindFirewall(FirewallId id) {
 TransitGateway* BaselineNetwork::FindTgw(TransitGatewayId id) {
   auto it = tgws_.find(id);
   return it == tgws_.end() ? nullptr : it->second.get();
-}
-std::optional<IpAddress> BaselineNetwork::OnPremAddress(InstanceId id) const {
-  auto it = on_prem_addrs_.find(id);
-  if (it == on_prem_addrs_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 size_t BaselineNetwork::gateway_count() const {

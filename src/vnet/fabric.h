@@ -19,7 +19,6 @@
 #define TENANTNET_SRC_VNET_FABRIC_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -259,7 +258,6 @@ class BaselineNetwork {
   const Subnet* FindSubnet(SubnetId id) const;
   SecurityGroup* FindSecurityGroup(SecurityGroupId id);
   VpcRouteTable* FindRouteTable(VpcRouteTableId id);
-  NetworkAcl* FindAcl(NetworkAclId id);
   // All route-table / security-group ids, for whole-config sweeps.
   std::vector<VpcRouteTableId> AllRouteTables() const;
   std::vector<SecurityGroupId> AllSecurityGroups() const;
@@ -269,7 +267,6 @@ class BaselineNetwork {
   LoadBalancer* FindLoadBalancer(LoadBalancerId id);
   DpiFirewall* FindFirewall(FirewallId id);
   TransitGateway* FindTgw(TransitGatewayId id);
-  std::optional<IpAddress> OnPremAddress(InstanceId id) const;
 
   size_t vpc_count() const { return vpcs_.size(); }
   size_t gateway_count() const;  // every gateway-ish box, for E1

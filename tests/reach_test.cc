@@ -356,6 +356,59 @@ TEST(BaselineReachTest, RefusalsBecomeDenials) {
       << v.remediation;
 }
 
+TEST(BaselineReachTest, MissingReturnRouteAsksForARoute) {
+  TestWorld tw = BuildTestWorld();
+  ConfigLedger ledger;
+  BaselineNetwork net(*tw.world, ledger);
+  VpcId v1 = *net.CreateVpc(tw.tenant, tw.provider, tw.east, "v1",
+                            *IpPrefix::Parse("10.0.0.0/16"));
+  VpcId v2 = *net.CreateVpc(tw.tenant, tw.provider, tw.east, "v2",
+                            *IpPrefix::Parse("10.1.0.0/16"));
+  PeeringId peering = *net.CreatePeering(v1, v2, "p");
+  ASSERT_TRUE(net.AcceptPeering(peering).ok());
+
+  // v1 routes toward v2 over the peering; v2 has no route back.
+  std::vector<InstanceId> vms;
+  for (VpcId vpc : {v1, v2}) {
+    SubnetId subnet = *net.CreateSubnet(vpc, "s", 20, 0, false);
+    if (vpc == v1) {
+      VpcRouteTableId rt = *net.CreateRouteTable(vpc, "rt");
+      ASSERT_TRUE(net.AssociateRouteTable(subnet, rt).ok());
+      ASSERT_TRUE(net.AddRoute(rt, *IpPrefix::Parse("10.1.0.0/16"),
+                               VpcRouteTarget{VpcRouteTargetKind::kPeering,
+                                              peering.value()})
+                      .ok());
+    }
+    SecurityGroupId sg = *net.CreateSecurityGroup(vpc, "sg");
+    NetworkAclId acl = *net.CreateNetworkAcl(vpc, "acl");
+    for (TrafficDirection dir :
+         {TrafficDirection::kIngress, TrafficDirection::kEgress}) {
+      SgRule all;
+      all.direction = dir;
+      all.peer = IpPrefix::Any(IpFamily::kIpv4);
+      ASSERT_TRUE(net.AddSgRule(sg, all).ok());
+      AclEntry allow;
+      allow.rule_number = 100;
+      allow.allow = true;
+      allow.direction = dir;
+      allow.match = FlowMatch::Any();
+      ASSERT_TRUE(net.AddAclEntry(acl, allow).ok());
+    }
+    ASSERT_TRUE(net.AssociateAcl(subnet, acl).ok());
+    InstanceId vm =
+        *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
+    ASSERT_TRUE(net.AttachInstance(vm, subnet, {sg}, false).ok());
+    vms.push_back(vm);
+  }
+
+  ReachVerdict v =
+      BaselineReachEngine(net).CanReach(vms[0], vms[1], 443, Protocol::kTcp);
+  EXPECT_FALSE(v.reachable);
+  EXPECT_EQ(DenyName(v), "return-route");
+  EXPECT_TRUE(v.remediation.find("install a route") != std::string::npos)
+      << v.remediation;
+}
+
 // ---------------------------------------------------------------------------
 // Declarative incremental verifier.
 // ---------------------------------------------------------------------------
