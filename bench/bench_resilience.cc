@@ -31,6 +31,7 @@
 #include "src/app/workload.h"
 #include "src/cloud/presets.h"
 #include "src/core/api.h"
+#include "src/core/verdict_walk.h"
 #include "src/faults/fault_injector.h"
 #include "src/sim/flow_sim.h"
 #include "src/sim/shard_executor.h"
@@ -136,14 +137,16 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
       ResolvedRoute route;
       auto it = eips->find(dst.value());
       if (it == eips->end()) {
-        route.deny_stage = DenyStage("no-eip");
+        route.deny_stage = DenyStage(
+            std::string(DeclarativeStageName(DeclarativeStage::kNoEip)));
         return route;
       }
       auto d = cloud->Evaluate(src, it->second, 443, Protocol::kTcp);
       if (!d.ok() || !d->delivered) {
         route.deny_stage = DenyStage(
             d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                   : "instance-down");
+                   : std::string(DeclarativeStageName(
+                         DeclarativeStage::kInstanceDown)));
         return route;
       }
       route.allowed = true;
@@ -189,7 +192,8 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
       if (!d.ok() || !d->delivered) {
         route.deny_stage = DenyStage(
             d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                   : "instance-down");
+                   : std::string(DeclarativeStageName(
+                         DeclarativeStage::kInstanceDown)));
         return route;
       }
       route.allowed = true;

@@ -39,6 +39,7 @@
 #include "src/cloud/presets.h"
 #include "src/common/reconcile.h"
 #include "src/core/api.h"
+#include "src/core/verdict_walk.h"
 #include "src/faults/fault_injector.h"
 #include "src/restart/warm_restart.h"
 #include "src/sim/flow_sim.h"
@@ -134,14 +135,16 @@ FilterRunResult RunFilterStorm(RestartMode mode,
     ResolvedRoute route;
     auto it = eip.find(dst.value());
     if (it == eip.end()) {
-      route.deny_stage = DenyStage("no-eip");
+      route.deny_stage = DenyStage(
+          std::string(DeclarativeStageName(DeclarativeStage::kNoEip)));
       return route;
     }
     auto d = cloud.Evaluate(src, it->second, 443, Protocol::kTcp);
     if (!d.ok() || !d->delivered) {
       route.deny_stage = DenyStage(
           d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                 : "instance-down");
+                 : std::string(
+                       DeclarativeStageName(DeclarativeStage::kInstanceDown)));
       return route;
     }
     route.allowed = true;

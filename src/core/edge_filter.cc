@@ -1,6 +1,8 @@
 #include "src/core/edge_filter.h"
 
 #include <algorithm>
+#include <numeric>
+#include <sstream>
 #include <utility>
 
 #include "src/telemetry/metrics.h"
@@ -66,6 +68,30 @@ size_t CompiledPermitList::ApproxBytes() const {
   return bytes;
 }
 
+std::string EdgeFilterBank::PermitSet::Fingerprint() const {
+  std::string out = "[";
+  for (const PermitEntry& e : entries) {
+    out += e.source.ToString() + "~g" + std::to_string(e.source_group.value()) +
+           "~" + std::to_string(e.dst_ports.lo) + "-" +
+           std::to_string(e.dst_ports.hi) + "~" +
+           std::to_string(static_cast<int>(e.proto)) + ",";
+  }
+  return out + "]";
+}
+
+size_t EdgeFilterBank::PermitSet::HeapBytes() const {
+  return entries.capacity() * sizeof(PermitEntry) +
+         (compiled != nullptr ? compiled->ApproxBytes() : 0);
+}
+
+std::string EdgeFilterBank::MemberSet::Fingerprint() const {
+  std::string out = "[";
+  for (IpAddress m : members) {
+    out += m.ToString() + ",";
+  }
+  return out + "]";
+}
+
 EdgeFilterBank::EdgeFilterBank(std::string domain, EventQueue* queue,
                                uint64_t rng_seed, EdgeFilterParams params)
     : domain_(std::move(domain)), queue_(queue), rng_(rng_seed),
@@ -74,8 +100,10 @@ EdgeFilterBank::EdgeFilterBank(std::string domain, EventQueue* queue,
 EdgeFilterBank::~EdgeFilterBank() = default;
 
 size_t EdgeFilterBank::AddEdge(const std::string& name) {
-  edges_.push_back(EdgeState{name, {}, {}, {}, 0});
-  return edges_.size() - 1;
+  edge_names_.push_back(name);
+  lists_.edges.emplace_back();
+  groups_.edges.emplace_back();
+  return edge_names_.size() - 1;
 }
 
 SimDuration EdgeFilterBank::SampleDeliveryLatency() {
@@ -101,15 +129,21 @@ SimDuration EdgeFilterBank::SampleDeliveryLatency() {
 
 uint32_t EdgeFilterBank::SlotFor(IpAddress endpoint) {
   uint32_t slot = slots_.Lookup(endpoint);
-  if (slot != kNilId) {
-    return slot;
+  if (slot == kNilId) {
+    slot = lists_.AddSlot();
+    slots_.Insert(endpoint, slot);
+    slot_epoch_.push_back(0);
   }
-  slot = static_cast<uint32_t>(slots_.size());
-  slots_.Insert(endpoint, slot);
-  slot_epoch_.push_back(0);
-  master_version_.push_back(0);
-  master_set_.push_back(kNilId);
   return slot;
+}
+
+uint32_t EdgeFilterBank::GroupSlotFor(EndpointGroupId group) {
+  auto [it, inserted] = group_slots_.try_emplace(group, groups_.slot_count());
+  if (inserted) {
+    groups_.AddSlot();
+    group_ids_.push_back(group);
+  }
+  return it->second;
 }
 
 std::vector<IpAddress> EdgeFilterBank::SlotAddresses() const {
@@ -118,155 +152,145 @@ std::vector<IpAddress> EdgeFilterBank::SlotAddresses() const {
   return addrs;
 }
 
-std::vector<std::pair<IpAddress, uint32_t>>
-EdgeFilterBank::SortedMasterEndpoints() const {
-  std::vector<std::pair<IpAddress, uint32_t>> out;
-  slots_.ForEach([&](IpAddress addr, uint32_t slot) {
-    if (master_set_[slot] != kNilId) {
-      out.emplace_back(addr, slot);
-    }
-  });
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
 const std::vector<PermitEntry>* EdgeFilterBank::MasterEntriesOf(
     IpAddress endpoint) const {
-  const uint32_t slot = slots_.Lookup(endpoint);
-  if (slot == kNilId || master_set_[slot] == kNilId) {
+  const uint32_t slot = SlotOf(endpoint);
+  if (slot == kNilId || lists_.master.set[slot] == kNilId) {
     return nullptr;
   }
-  return &sets_.Get(master_set_[slot]).entries;
+  return &lists_.sets.Get(lists_.master.set[slot]).entries;
 }
 
 std::vector<IpAddress> EdgeFilterBank::MasterEndpoints() const {
+  const std::vector<IpAddress> addrs = SlotAddresses();
   std::vector<IpAddress> out;
-  for (const auto& [addr, slot] : SortedMasterEndpoints()) {
-    out.push_back(addr);
+  for (uint32_t slot : lists_.SlotsByKey(addrs)) {
+    if (lists_.master.set[slot] != kNilId) {
+      out.push_back(addrs[slot]);
+    }
   }
   return out;
 }
 
-void EdgeFilterBank::ClearMasterSet(uint32_t slot) {
-  if (master_set_[slot] == kNilId) {
-    return;
-  }
-  sets_.Release(master_set_[slot]);
-  master_set_[slot] = kNilId;
-  --master_lists_;
-}
-
-void EdgeFilterBank::AssignMasterSet(uint32_t slot, uint32_t set_id) {
-  const uint32_t old = master_set_[slot];
-  if (old == set_id) {
-    sets_.Release(set_id);  // master already holds its reference
-    return;
-  }
-  if (old == kNilId) {
-    ++master_lists_;
-  } else {
-    sets_.Release(old);
-  }
-  master_set_[slot] = set_id;  // the caller's reference becomes the master's
-}
-
-void EdgeFilterBank::EnsureCompiled(uint32_t set_id) {
-  PermitSet& set = sets_.GetMutable(set_id);
+void EdgeFilterBank::Prepare(ListReplica&, uint32_t set_id) {
+  PermitSet& set = lists_.sets.GetMutable(set_id);
   if (set.compiled == nullptr) {
     set.compiled = std::make_shared<const CompiledPermitList>(set.entries);
     ++compiles_;
   }
 }
 
-SimTime EdgeFilterBank::UpdatePermitList(
-    IpAddress endpoint, std::vector<PermitEntry> add,
-    const std::vector<PermitEntry>& remove) {
-  if (in_restart_) {
-    // The master copy is gone until CompleteRestart restores it, so the
-    // merge must wait too: buffer the op whole.
-    PendingOp op;
-    op.kind = PendingOp::Kind::kUpdateList;
-    op.endpoint = endpoint;
-    op.entries = std::move(add);
-    op.removes = remove;
-    pending_ops_.push_back(std::move(op));
-    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
-  }
-  std::vector<PermitEntry> merged;
-  const uint32_t slot = SlotOf(endpoint);
-  if (slot != kNilId && master_set_[slot] != kNilId) {
-    for (const PermitEntry& entry : sets_.Get(master_set_[slot]).entries) {
-      if (std::find(remove.begin(), remove.end(), entry) == remove.end()) {
-        merged.push_back(entry);
-      }
-    }
-  }
-  for (PermitEntry& entry : add) {
-    if (std::find(merged.begin(), merged.end(), entry) == merged.end()) {
-      merged.push_back(std::move(entry));
-    }
-  }
-  return SetPermitList(endpoint, std::move(merged));
+uint32_t EdgeFilterBank::InternMembers(std::vector<IpAddress> members) {
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return groups_.sets.Intern(MemberSet{std::move(members)});
 }
 
 SimTime EdgeFilterBank::SetPermitList(IpAddress endpoint,
                                       std::vector<PermitEntry> entries) {
+  return Submit({.kind = Op::Kind::kSetList,
+                 .endpoint = endpoint,
+                 .entries = std::move(entries)});
+}
+
+SimTime EdgeFilterBank::UpdatePermitList(
+    IpAddress endpoint, std::vector<PermitEntry> add,
+    const std::vector<PermitEntry>& remove) {
+  // The merge happens at apply time: during a restart the master copy is
+  // gone until CompleteRestart restores it, so the op is buffered whole.
+  return Submit({.kind = Op::Kind::kUpdateList,
+                 .endpoint = endpoint,
+                 .entries = std::move(add),
+                 .removes = remove});
+}
+
+void EdgeFilterBank::RemovePermitList(IpAddress endpoint) {
+  Submit({.kind = Op::Kind::kRemoveList, .endpoint = endpoint});
+}
+
+SimTime EdgeFilterBank::SetGroup(EndpointGroupId group,
+                                 std::vector<IpAddress> members) {
+  return Submit({.kind = Op::Kind::kSetGroup,
+                 .group = group,
+                 .members = std::move(members)});
+}
+
+void EdgeFilterBank::RemoveGroup(EndpointGroupId group) {
+  Submit({.kind = Op::Kind::kRemoveGroup, .group = group});
+}
+
+SimTime EdgeFilterBank::Submit(Op op) {
   if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kSetList;
-    op.endpoint = endpoint;
-    op.entries = std::move(entries);
     pending_ops_.push_back(std::move(op));
-    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+    return Now();
   }
-  const uint32_t set_id =
-      sets_.Intern(PermitSet{std::move(entries), nullptr});
-  return PushListTo(endpoint, set_id, AllEdgeIndices());
+  return Apply(std::move(op), AllEdgeIndices());
+}
+
+SimTime EdgeFilterBank::Apply(Op op, const std::vector<size_t>& targets) {
+  switch (op.kind) {
+    case Op::Kind::kUpdateList: {
+      std::vector<PermitEntry> merged;
+      if (const auto* master = MasterEntriesOf(op.endpoint)) {
+        for (const PermitEntry& entry : *master) {
+          if (std::find(op.removes.begin(), op.removes.end(), entry) ==
+              op.removes.end()) {
+            merged.push_back(entry);
+          }
+        }
+      }
+      for (PermitEntry& entry : op.entries) {
+        if (std::find(merged.begin(), merged.end(), entry) == merged.end()) {
+          merged.push_back(std::move(entry));
+        }
+      }
+      op.entries = std::move(merged);
+      [[fallthrough]];
+    }
+    case Op::Kind::kSetList: {
+      const uint32_t set_id =
+          lists_.sets.Intern(PermitSet{std::move(op.entries), nullptr});
+      return PushTo(lists_, SlotFor(op.endpoint), set_id, targets);
+    }
+    case Op::Kind::kRemoveList:
+      RemoveSlot(lists_, SlotOf(op.endpoint), targets);
+      break;
+    case Op::Kind::kSetGroup:
+      return PushTo(groups_, GroupSlotFor(op.group),
+                    InternMembers(std::move(op.members)), targets);
+    case Op::Kind::kRemoveGroup:
+      RemoveSlot(groups_, GroupSlotOf(op.group), targets);
+      break;
+  }
+  return Now();
 }
 
 std::vector<size_t> EdgeFilterBank::AllEdgeIndices() const {
-  std::vector<size_t> all(edges_.size());
-  for (size_t i = 0; i < all.size(); ++i) {
-    all[i] = i;
-  }
+  std::vector<size_t> all(edge_names_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
   return all;
 }
 
-SimTime EdgeFilterBank::PushListTo(IpAddress endpoint, uint32_t set_id,
-                                   const std::vector<size_t>& targets) {
-  const uint32_t slot = SlotFor(endpoint);
-  const uint64_t version = next_version_++;
-  master_version_[slot] = version;
-  AssignMasterSet(slot, set_id);  // consumes the caller's reference
-  // Compile once per *distinct* list: interning means a byte-identical list
-  // installed for another endpoint — or re-pushed for this one — reuses the
-  // same immutable matcher, shared by every edge's apply.
-  EnsureCompiled(set_id);
-  SimTime last_applied =
-      queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+// ---------------------------------------------------------------------------
+// The replication protocol (both kinds of intent).
+// ---------------------------------------------------------------------------
 
+template <typename R>
+SimTime EdgeFilterBank::PushTo(R& r, uint32_t slot, uint32_t set_id,
+                               const std::vector<size_t>& targets) {
+  const uint64_t version = next_version_++;
+  r.SetMaster(slot, set_id, version);  // consumes the caller's reference
+  if (!targets.empty()) {
+    Prepare(r, set_id);
+  }
+  SimTime last_applied = Now();
   for (size_t i : targets) {
     ++messages_;
-    sets_.AddRef(set_id);  // in-flight reference, handed to the edge on apply
-    auto apply = [this, i, slot, set_id, version]() {
-      EdgeState& edge = edges_[i];
-      if (edge.list_set.size() <= slot) {
-        edge.list_version.resize(slot_epoch_.size(), 0);
-        edge.list_set.resize(slot_epoch_.size(), kNilId);
+    r.sets.AddRef(set_id);  // in-flight reference, handed to the edge on apply
+    auto apply = [this, &r, i, slot, set_id, version]() {
+      if (r.Write(i, slot, set_id, version)) {
+        Bump(r, slot);
       }
-      if (edge.list_version[slot] >= version) {
-        sets_.Release(set_id);
-        return;  // stale update arrived after a newer one
-      }
-      if (edge.list_set[slot] != kNilId) {
-        edge.entry_count -= sets_.Get(edge.list_set[slot]).entries.size();
-        sets_.Release(edge.list_set[slot]);
-      }
-      edge.entry_count += sets_.Get(set_id).entries.size();
-      edge.list_set[slot] = set_id;
-      edge.list_version[slot] = version;
-      BumpEndpointEpoch(slot);
     };
     if (queue_ == nullptr) {
       apply();
@@ -279,35 +303,111 @@ SimTime EdgeFilterBank::PushListTo(IpAddress endpoint, uint32_t set_id,
   return last_applied;
 }
 
-void EdgeFilterBank::RemovePermitList(IpAddress endpoint) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kRemoveList;
-    op.endpoint = endpoint;
-    pending_ops_.push_back(std::move(op));
-    return;
-  }
-  const uint32_t slot = SlotOf(endpoint);
-  if (slot != kNilId) {
-    master_version_[slot] = 0;
-    ClearMasterSet(slot);
-  }
+template <typename R>
+bool EdgeFilterBank::Tombstone(R& r, uint32_t slot, uint64_t version,
+                              const std::vector<size_t>& targets) {
   bool removed_any = false;
-  for (EdgeState& edge : edges_) {
-    if (slot != kNilId && slot < edge.list_set.size() &&
-        edge.list_set[slot] != kNilId) {
-      edge.entry_count -= sets_.Get(edge.list_set[slot]).entries.size();
-      sets_.Release(edge.list_set[slot]);
-      edge.list_set[slot] = kNilId;
-      edge.list_version[slot] = 0;
-      removed_any = true;
-    }
-    ++messages_;
+  for (size_t i : targets) {
+    removed_any |= r.edges[i].SetAt(slot) != kNilId;
+    r.Write(i, slot, kNilId, version);
   }
-  if (removed_any) {
-    BumpEndpointEpoch(slot);
+  return removed_any;
+}
+
+template <typename R>
+void EdgeFilterBank::RemoveSlot(R& r, uint32_t slot,
+                                const std::vector<size_t>& targets) {
+  messages_ += targets.size();
+  if (slot == kNilId) {
+    return;  // never seen: nothing installed, nothing in flight
+  }
+  r.SetMaster(slot, kNilId, 0);
+  // A fresh version, not a reset: installs still in flight are older and
+  // must land as stale instead of resurrecting the removed state.
+  if (Tombstone(r, slot, next_version_++, targets)) {
+    Bump(r, slot);
   }
 }
+
+template <typename R, typename Key>
+void EdgeFilterBank::PushLagging(R& r, const std::vector<Key>& key_of,
+                                 uint64_t since, bool diff,
+                                 ReconcileStats& stats) {
+  for (uint32_t slot : r.SlotsByKey(key_of)) {
+    if (r.master.set[slot] == kNilId || r.master.version[slot] >= since) {
+      continue;  // no intent, or pushed by a replayed op (converging)
+    }
+    const uint32_t want = r.master.set[slot];
+    std::vector<size_t> lagging;
+    for (size_t i = 0; i < r.edges.size(); ++i) {
+      stats.checked += diff ? 1 : 0;
+      if (r.edges[i].SetAt(slot) != want) {
+        lagging.push_back(i);
+      }
+    }
+    if (!lagging.empty()) {
+      stats.deltas_applied += lagging.size();
+      r.sets.AddRef(want);  // PushTo consumes one reference
+      stats.converged_at =
+          std::max(stats.converged_at, PushTo(r, slot, want, lagging));
+    }
+  }
+}
+
+template <typename R>
+void EdgeFilterBank::SweepOrphans(R& r, ReconcileStats& stats) {
+  for (uint32_t slot = 0; slot < r.slot_count(); ++slot) {
+    bool orphan = false;
+    for (const Column& edge : r.edges) {
+      if (edge.SetAt(slot) != kNilId) {
+        ++stats.checked;
+        orphan |= r.master.set[slot] == kNilId;
+      }
+    }
+    if (orphan) {
+      RemoveSlot(r, slot, AllEdgeIndices());
+      ++stats.deltas_applied;
+    }
+  }
+}
+
+template <typename R, typename Key>
+void EdgeFilterBank::AppendFingerprint(const R& r,
+                                       const std::vector<Key>& key_of,
+                                       const std::string& tag,
+                                       std::string& out) const {
+  const std::vector<uint32_t> order = r.SlotsByKey(key_of);
+  auto lines = [&](const Column& column, const std::string& prefix) {
+    for (uint32_t slot : order) {
+      if (column.SetAt(slot) != kNilId) {
+        std::ostringstream line;
+        line << prefix << " " << key_of[slot] << " "
+             << r.sets.Get(column.set[slot]).Fingerprint() << "\n";
+        out += line.str();
+      }
+    }
+  };
+  lines(r.master, "M" + tag);
+  for (size_t i = 0; i < r.edges.size(); ++i) {
+    lines(r.edges[i], "E" + tag + std::to_string(i));
+  }
+}
+
+template <typename R>
+size_t EdgeFilterBank::ReplicaBytes(const R& r) {
+  size_t bytes = r.sets.ApproxBytes() + r.master.ApproxBytes();
+  for (const Column& edge : r.edges) {
+    bytes += edge.ApproxBytes();
+  }
+  r.sets.ForEach([&](uint32_t, const auto& set, uint32_t) {
+    bytes += set.HeapBytes();
+  });
+  return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// Data plane.
+// ---------------------------------------------------------------------------
 
 bool EdgeFilterBank::Admits(size_t edge_index, const FiveTuple& flow) const {
   VerdictKey key{edge_index, flow.src, flow.dst, flow.dst_port, flow.proto};
@@ -321,24 +421,28 @@ bool EdgeFilterBank::Admits(size_t edge_index, const FiveTuple& flow) const {
   return verdict;
 }
 
+bool EdgeFilterBank::GroupHas(size_t i, EndpointGroupId group,
+                              IpAddress addr) const {
+  const uint32_t set_id = groups_.edges[i].SetAt(GroupSlotOf(group));
+  if (set_id == kNilId) {
+    return false;
+  }
+  const std::vector<IpAddress>& members = groups_.sets.Get(set_id).members;
+  return std::binary_search(members.begin(), members.end(), addr);
+}
+
 bool EdgeFilterBank::AdmitsUncached(size_t edge_index,
                                     const FiveTuple& flow) const {
-  const EdgeState& edge = edges_[edge_index];
-  const uint32_t slot = slots_.Lookup(flow.dst);
-  if (slot == kNilId || slot >= edge.list_set.size() ||
-      edge.list_set[slot] == kNilId) {
+  const uint32_t set_id = lists_.edges[edge_index].SetAt(SlotOf(flow.dst));
+  if (set_id == kNilId) {
     return false;  // default-off
   }
-  const CompiledPermitList& compiled = *sets_.Get(edge.list_set[slot]).compiled;
+  const CompiledPermitList& compiled = *lists_.sets.Get(set_id).compiled;
   if (compiled.PrefixAdmits(flow)) {
     return true;
   }
   for (const auto& [group, scopes] : compiled.group_scopes()) {
-    if (!scopes.Matches(flow)) {
-      continue;
-    }
-    auto git = edge.groups.find(group);
-    if (git != edge.groups.end() && git->second.members.contains(flow.src)) {
+    if (scopes.Matches(flow) && GroupHas(edge_index, group, flow.src)) {
       return true;
     }
   }
@@ -347,20 +451,14 @@ bool EdgeFilterBank::AdmitsUncached(size_t edge_index,
 
 bool EdgeFilterBank::AdmitsLinear(size_t edge_index,
                                   const FiveTuple& flow) const {
-  const EdgeState& edge = edges_[edge_index];
-  const uint32_t slot = slots_.Lookup(flow.dst);
-  if (slot == kNilId || slot >= edge.list_set.size() ||
-      edge.list_set[slot] == kNilId) {
+  const uint32_t set_id = lists_.edges[edge_index].SetAt(SlotOf(flow.dst));
+  if (set_id == kNilId) {
     return false;  // default-off
   }
-  for (const PermitEntry& entry : sets_.Get(edge.list_set[slot]).entries) {
+  for (const PermitEntry& entry : lists_.sets.Get(set_id).entries) {
     if (entry.source_group.valid()) {
-      if (!entry.ScopeMatches(flow)) {
-        continue;
-      }
-      auto git = edge.groups.find(entry.source_group);
-      if (git != edge.groups.end() &&
-          git->second.members.count(flow.src) > 0) {
+      if (entry.ScopeMatches(flow) &&
+          GroupHas(edge_index, entry.source_group, flow.src)) {
         return true;
       }
       continue;
@@ -372,92 +470,21 @@ bool EdgeFilterBank::AdmitsLinear(size_t edge_index,
   return false;
 }
 
-SimTime EdgeFilterBank::SetGroup(EndpointGroupId group,
-                                 std::vector<IpAddress> members) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kSetGroup;
-    op.group = group;
-    op.members = std::move(members);
-    pending_ops_.push_back(std::move(op));
-    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
-  }
-  std::unordered_set<IpAddress> member_set(members.begin(), members.end());
-  return PushGroupTo(group, member_set, AllEdgeIndices());
-}
-
-SimTime EdgeFilterBank::PushGroupTo(
-    EndpointGroupId group, const std::unordered_set<IpAddress>& member_set,
-    const std::vector<size_t>& targets) {
-  uint64_t version = next_version_++;
-  latest_groups_[group] = MasterGroup{version, member_set};
-  SimTime last_applied = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
-  for (size_t i : targets) {
-    ++messages_;
-    auto apply = [this, i, group, version, member_set]() {
-      EdgeState& edge = edges_[i];
-      auto it = edge.groups.find(group);
-      if (it != edge.groups.end() && it->second.version >= version) {
-        return;  // stale
-      }
-      edge.groups[group] = GroupState{version, member_set};
-      BumpGlobalEpoch();
-    };
-    if (queue_ == nullptr) {
-      apply();
-      continue;
-    }
-    SimTime when = queue_->now() + SampleDeliveryLatency();
-    last_applied = std::max(last_applied, when);
-    queue_->ScheduleAt(when, apply);
-  }
-  return last_applied;
-}
-
-void EdgeFilterBank::RemoveGroup(EndpointGroupId group) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kRemoveGroup;
-    op.group = group;
-    pending_ops_.push_back(std::move(op));
-    return;
-  }
-  latest_groups_.erase(group);
-  bool removed_any = false;
-  for (EdgeState& edge : edges_) {
-    removed_any |= edge.groups.erase(group) > 0;
-    ++messages_;
-  }
-  if (removed_any) {
-    BumpGlobalEpoch();
-  }
-}
-
 bool EdgeFilterBank::HasList(size_t edge_index, IpAddress endpoint) const {
-  const EdgeState& edge = edges_[edge_index];
-  const uint32_t slot = slots_.Lookup(endpoint);
-  return slot != kNilId && slot < edge.list_set.size() &&
-         edge.list_set[slot] != kNilId;
+  return lists_.edges[edge_index].SetAt(SlotOf(endpoint)) != kNilId;
 }
 
 bool EdgeFilterBank::IsConverged(IpAddress endpoint) const {
-  const uint32_t slot = slots_.Lookup(endpoint);
-  const uint64_t latest = slot == kNilId ? 0 : master_version_[slot];
-  if (latest == 0) {
-    // Converged means "gone everywhere".
-    if (slot == kNilId) {
-      return true;
-    }
-    for (const EdgeState& edge : edges_) {
-      if (slot < edge.list_set.size() && edge.list_set[slot] != kNilId) {
-        return false;
-      }
-    }
+  const uint32_t slot = SlotOf(endpoint);
+  if (slot == kNilId) {
     return true;
   }
-  for (const EdgeState& edge : edges_) {
-    if (slot >= edge.list_version.size() ||
-        edge.list_version[slot] != latest) {
+  const bool present = lists_.master.set[slot] != kNilId;
+  for (const Column& edge : lists_.edges) {
+    // Present: every edge holds the latest version. Absent: gone everywhere.
+    if (present ? slot >= edge.version.size() ||
+                      edge.version[slot] != lists_.master.version[slot]
+                : edge.SetAt(slot) != kNilId) {
       return false;
     }
   }
@@ -466,8 +493,10 @@ bool EdgeFilterBank::IsConverged(IpAddress endpoint) const {
 
 uint64_t EdgeFilterBank::total_installed_entries() const {
   uint64_t total = 0;
-  for (const EdgeState& edge : edges_) {
-    total += edge.entry_count;
+  for (const Column& edge : lists_.edges) {
+    for (uint32_t set_id : edge.set) {
+      total += set_id == kNilId ? 0 : lists_.sets.Get(set_id).entries.size();
+    }
   }
   return total;
 }
@@ -477,50 +506,31 @@ uint64_t EdgeFilterBank::total_installed_entries() const {
 // ---------------------------------------------------------------------------
 
 size_t EdgeFilterBank::ApproxBytes() const {
-  size_t bytes = slots_.ApproxBytes() +
-                 slot_epoch_.capacity() * sizeof(uint64_t) +
-                 master_version_.capacity() * sizeof(uint64_t) +
-                 master_set_.capacity() * sizeof(uint32_t);
-  for (const EdgeState& edge : edges_) {
-    bytes += edge.list_version.capacity() * sizeof(uint64_t) +
-             edge.list_set.capacity() * sizeof(uint32_t);
-  }
-  bytes += sets_.ApproxBytes();
-  sets_.ForEach([&](uint32_t, const PermitSet& set, uint32_t) {
-    bytes += set.entries.capacity() * sizeof(PermitEntry);
-    if (set.compiled != nullptr) {
-      bytes += set.compiled->ApproxBytes();
-    }
-  });
-  // Group replicas: per-member hash-set node cost, master + every edge.
-  constexpr size_t kSetNodeBytes = sizeof(IpAddress) + 2 * sizeof(void*);
-  for (const auto& [group, master] : latest_groups_) {
-    (void)group;
-    bytes += master.members.size() * kSetNodeBytes;
-  }
-  for (const EdgeState& edge : edges_) {
-    for (const auto& [group, state] : edge.groups) {
-      (void)group;
-      bytes += state.members.size() * kSetNodeBytes;
-    }
-  }
-  return bytes;
+  // The group index: a hash node (next pointer, id, slot) per group plus
+  // the slot -> id column.
+  const size_t group_index =
+      group_slots_.size() * (sizeof(void*) + 2 * sizeof(uint64_t)) +
+      group_ids_.capacity() * sizeof(EndpointGroupId);
+  return slots_.ApproxBytes() + slot_epoch_.capacity() * sizeof(uint64_t) +
+         group_index + ReplicaBytes(lists_) + ReplicaBytes(groups_);
 }
 
 void EdgeFilterBank::ReserveEndpoints(size_t n) {
   slots_.Reserve(n);
   slot_epoch_.reserve(n);
-  master_version_.reserve(n);
-  master_set_.reserve(n);
+  lists_.master.version.reserve(n);
+  lists_.master.set.reserve(n);
 }
 
 void EdgeFilterBank::ShrinkToFit() {
   slot_epoch_.shrink_to_fit();
-  master_version_.shrink_to_fit();
-  master_set_.shrink_to_fit();
-  for (EdgeState& edge : edges_) {
-    edge.list_version.shrink_to_fit();
-    edge.list_set.shrink_to_fit();
+  std::vector<Column*> columns = {&lists_.master};
+  for (Column& edge : lists_.edges) {
+    columns.push_back(&edge);
+  }
+  for (Column* column : columns) {
+    column->version.shrink_to_fit();
+    column->set.shrink_to_fit();
   }
 }
 
@@ -530,7 +540,7 @@ void EdgeFilterBank::PublishMemoryGauges(MetricRegistry& metrics) const {
   metrics.GetGauge(domain_ + ".filter.endpoint_slots")
       .Set(static_cast<double>(slots_.size()));
   metrics.GetGauge(domain_ + ".filter.distinct_permit_sets")
-      .Set(static_cast<double>(sets_.size()));
+      .Set(static_cast<double>(lists_.sets.size()));
   metrics.GetGauge(domain_ + ".filter.installed_entries")
       .Set(static_cast<double>(total_installed_entries()));
 }
@@ -542,40 +552,37 @@ void EdgeFilterBank::PublishMemoryGauges(MetricRegistry& metrics) const {
 FilterBankSnapshot EdgeFilterBank::Checkpoint() const {
   FilterBankSnapshot snap;
   snap.next_version = next_version_;
-  const auto masters = SortedMasterEndpoints();
-  snap.lists.reserve(masters.size());
-  for (const auto& [endpoint, slot] : masters) {
-    snap.lists.push_back(FilterBankSnapshot::List{
-        endpoint, master_version_[slot], sets_.Get(master_set_[slot]).entries});
+  const std::vector<IpAddress> addrs = SlotAddresses();
+  for (uint32_t slot : lists_.SlotsByKey(addrs)) {
+    if (const uint32_t set_id = lists_.master.set[slot]; set_id != kNilId) {
+      snap.lists.push_back({addrs[slot], lists_.master.version[slot],
+                            lists_.sets.Get(set_id).entries});
+    }
   }
-  snap.groups.reserve(latest_groups_.size());
-  for (const auto& [group, master] : latest_groups_) {
-    std::vector<IpAddress> members(master.members.begin(),
-                                   master.members.end());
-    std::sort(members.begin(), members.end());
-    snap.groups.push_back(
-        FilterBankSnapshot::Group{group, master.version, std::move(members)});
+  for (uint32_t slot : groups_.SlotsByKey(group_ids_)) {
+    if (const uint32_t set_id = groups_.master.set[slot]; set_id != kNilId) {
+      snap.groups.push_back({group_ids_[slot], groups_.master.version[slot],
+                             groups_.sets.Get(set_id).members});
+    }
   }
-  std::sort(snap.groups.begin(), snap.groups.end(),
-            [](const auto& a, const auto& b) { return a.group < b.group; });
   return snap;
 }
 
 void EdgeFilterBank::RestoreFromSnapshot(const FilterBankSnapshot& snap) {
-  for (uint32_t slot = 0; slot < master_set_.size(); ++slot) {
-    master_version_[slot] = 0;
-    ClearMasterSet(slot);
+  for (uint32_t slot = 0; slot < lists_.slot_count(); ++slot) {
+    lists_.SetMaster(slot, kNilId, 0);
   }
-  latest_groups_.clear();
+  for (uint32_t slot = 0; slot < groups_.slot_count(); ++slot) {
+    groups_.SetMaster(slot, kNilId, 0);
+  }
   for (const FilterBankSnapshot::List& list : snap.lists) {
-    const uint32_t slot = SlotFor(list.endpoint);
-    AssignMasterSet(slot, sets_.Intern(PermitSet{list.entries, nullptr}));
-    master_version_[slot] = list.version;
+    lists_.SetMaster(SlotFor(list.endpoint),
+                     lists_.sets.Intern(PermitSet{list.entries, nullptr}),
+                     list.version);
   }
   for (const FilterBankSnapshot::Group& group : snap.groups) {
-    latest_groups_[group.group] = MasterGroup{
-        group.version, std::unordered_set<IpAddress>(group.members.begin(),
-                                                     group.members.end())};
+    groups_.SetMaster(GroupSlotFor(group.group), InternMembers(group.members),
+                      group.version);
   }
   // Monotonic across incarnations: edges may hold versions newer than the
   // snapshot (mutations applied between checkpoint and crash), and a push
@@ -591,306 +598,69 @@ void EdgeFilterBank::BeginRestart() {
   // The process is gone: volatile master state with it. Edge (data-plane)
   // state and in-flight applies survive; next_version_ models a monotonic
   // version fountain (provider-durable), see RestoreFromSnapshot.
-  for (uint32_t slot = 0; slot < master_set_.size(); ++slot) {
-    master_version_[slot] = 0;
-    ClearMasterSet(slot);
-  }
-  latest_groups_.clear();
-}
-
-void EdgeFilterBank::ApplyOpToMaster(const PendingOp& op) {
-  switch (op.kind) {
-    case PendingOp::Kind::kSetList:
-      AssignMasterSet(SlotFor(op.endpoint),
-                      sets_.Intern(PermitSet{op.entries, nullptr}));
-      break;
-    case PendingOp::Kind::kUpdateList: {
-      const uint32_t slot = SlotFor(op.endpoint);
-      std::vector<PermitEntry> merged;
-      if (master_set_[slot] != kNilId) {
-        for (const PermitEntry& entry : sets_.Get(master_set_[slot]).entries) {
-          if (std::find(op.removes.begin(), op.removes.end(), entry) ==
-              op.removes.end()) {
-            merged.push_back(entry);
-          }
-        }
-      }
-      for (const PermitEntry& entry : op.entries) {
-        if (std::find(merged.begin(), merged.end(), entry) == merged.end()) {
-          merged.push_back(entry);
-        }
-      }
-      AssignMasterSet(slot, sets_.Intern(PermitSet{std::move(merged), nullptr}));
-      break;
-    }
-    case PendingOp::Kind::kRemoveList: {
-      const uint32_t slot = SlotOf(op.endpoint);
-      if (slot != kNilId) {
-        master_version_[slot] = 0;
-        ClearMasterSet(slot);
-      }
-      break;
-    }
-    case PendingOp::Kind::kSetGroup:
-      latest_groups_[op.group] = MasterGroup{
-          0, std::unordered_set<IpAddress>(op.members.begin(),
-                                           op.members.end())};
-      break;
-    case PendingOp::Kind::kRemoveGroup:
-      latest_groups_.erase(op.group);
-      break;
-  }
+  RestoreFromSnapshot(FilterBankSnapshot{});
 }
 
 ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
                                                const FilterBankSnapshot& snap) {
   ReconcileStats stats;
-  stats.converged_at = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  stats.converged_at = Now();
   RestoreFromSnapshot(snap);
   in_restart_ = false;
-  std::vector<PendingOp> ops;
+  std::vector<Op> ops;
   ops.swap(pending_ops_);
   stats.replayed_mutations = ops.size();
-
-  auto sorted_groups = [this] {
-    std::vector<EndpointGroupId> groups;
-    groups.reserve(latest_groups_.size());
-    for (const auto& [group, master] : latest_groups_) {
-      groups.push_back(group);
-    }
-    std::sort(groups.begin(), groups.end());
-    return groups;
-  };
 
   if (mode == RestartMode::kCold) {
     // Fold the buffered mutations into the master only, then flush every
     // edge and re-program the whole intent from scratch. Between the flush
     // and each re-install landing, default-off denies everything — the
-    // cold-rebuild blackhole window E9b measures.
-    for (const PendingOp& op : ops) {
-      ApplyOpToMaster(op);
+    // cold-rebuild blackhole window E9b measures. The flush tombstones every
+    // slot at one fresh version, so installs in flight from before the
+    // restart land as stale.
+    for (Op& op : ops) {
+      Apply(std::move(op), {});
     }
+    const std::vector<size_t> all = AllEdgeIndices();
+    const uint64_t flush = next_version_++;
     bool flushed_any = false;
-    for (EdgeState& edge : edges_) {
-      for (uint32_t slot = 0; slot < edge.list_set.size(); ++slot) {
-        if (edge.list_set[slot] == kNilId) {
-          continue;
-        }
-        sets_.Release(edge.list_set[slot]);
-        edge.list_set[slot] = kNilId;
-        edge.list_version[slot] = 0;
-        flushed_any = true;
-      }
-      flushed_any |= !edge.groups.empty();
-      edge.groups.clear();
-      edge.entry_count = 0;
+    for (uint32_t slot = 0; slot < lists_.slot_count(); ++slot) {
+      flushed_any |= Tombstone(lists_, slot, flush, all);
+    }
+    for (uint32_t slot = 0; slot < groups_.slot_count(); ++slot) {
+      flushed_any |= Tombstone(groups_, slot, flush, all);
     }
     if (flushed_any) {
       BumpGlobalEpoch();  // every cached verdict is now unfounded
     }
-    std::vector<size_t> all = AllEdgeIndices();
-    for (const auto& [endpoint, slot] : SortedMasterEndpoints()) {
-      stats.deltas_applied += all.size();
-      sets_.AddRef(master_set_[slot]);  // PushListTo consumes one reference
-      stats.converged_at = std::max(
-          stats.converged_at, PushListTo(endpoint, master_set_[slot], all));
-    }
-    for (EndpointGroupId group : sorted_groups()) {
-      stats.deltas_applied += all.size();
-      stats.converged_at = std::max(
-          stats.converged_at,
-          PushGroupTo(group, latest_groups_[group].members, all));
-    }
+    PushLagging(lists_, SlotAddresses(), next_version_, false, stats);
+    PushLagging(groups_, group_ids_, next_version_, false, stats);
     return stats;
   }
 
   // Warm: replay the buffered mutations through the normal incremental
   // paths (they fan out exactly what changed during the outage)...
-  std::unordered_set<IpAddress> replayed_lists;
-  std::unordered_set<EndpointGroupId> replayed_groups;
-  for (const PendingOp& op : ops) {
-    switch (op.kind) {
-      case PendingOp::Kind::kSetList:
-        stats.converged_at = std::max(
-            stats.converged_at, SetPermitList(op.endpoint, op.entries));
-        replayed_lists.insert(op.endpoint);
-        break;
-      case PendingOp::Kind::kUpdateList:
-        stats.converged_at = std::max(
-            stats.converged_at,
-            UpdatePermitList(op.endpoint, op.entries, op.removes));
-        replayed_lists.insert(op.endpoint);
-        break;
-      case PendingOp::Kind::kRemoveList:
-        RemovePermitList(op.endpoint);
-        replayed_lists.insert(op.endpoint);
-        break;
-      case PendingOp::Kind::kSetGroup:
-        stats.converged_at =
-            std::max(stats.converged_at, SetGroup(op.group, op.members));
-        replayed_groups.insert(op.group);
-        break;
-      case PendingOp::Kind::kRemoveGroup:
-        RemoveGroup(op.group);
-        replayed_groups.insert(op.group);
-        break;
-    }
+  const uint64_t replay_start = next_version_;
+  for (Op& op : ops) {
+    stats.converged_at =
+        std::max(stats.converged_at, Apply(std::move(op), AllEdgeIndices()));
   }
-
   // ...then diff the restored intent against live edge state and re-push
-  // only mismatches. Interned set ids are canonical, so an id compare *is*
-  // a content compare. Edges already holding the intended entries are left
-  // alone — no message, no epoch bump, their cached verdicts survive.
-  for (const auto& [endpoint, slot] : SortedMasterEndpoints()) {
-    if (replayed_lists.contains(endpoint)) {
-      continue;  // already converging via the replay above
-    }
-    const uint32_t want = master_set_[slot];
-    std::vector<size_t> lagging;
-    for (size_t i = 0; i < edges_.size(); ++i) {
-      ++stats.checked;
-      const EdgeState& edge = edges_[i];
-      if (slot >= edge.list_set.size() || edge.list_set[slot] != want) {
-        lagging.push_back(i);
-      }
-    }
-    if (!lagging.empty()) {
-      stats.deltas_applied += lagging.size();
-      sets_.AddRef(want);  // PushListTo consumes one reference
-      stats.converged_at =
-          std::max(stats.converged_at, PushListTo(endpoint, want, lagging));
-    }
-  }
-  for (EndpointGroupId group : sorted_groups()) {
-    if (replayed_groups.contains(group)) {
-      continue;
-    }
-    const MasterGroup& master = latest_groups_[group];
-    std::vector<size_t> lagging;
-    for (size_t i = 0; i < edges_.size(); ++i) {
-      ++stats.checked;
-      auto it = edges_[i].groups.find(group);
-      if (it == edges_[i].groups.end() ||
-          it->second.members != master.members) {
-        lagging.push_back(i);
-      }
-    }
-    if (!lagging.empty()) {
-      stats.deltas_applied += lagging.size();
-      stats.converged_at = std::max(
-          stats.converged_at, PushGroupTo(group, master.members, lagging));
-    }
-  }
-
-  // Orphan sweep: state still installed on edges with no master intent (the
-  // snapshot predates its removal). The removal paths are the delta ops.
-  const std::vector<IpAddress> addr_of = SlotAddresses();
-  std::vector<IpAddress> orphan_lists;
-  std::vector<EndpointGroupId> orphan_groups;
-  for (const EdgeState& edge : edges_) {
-    for (uint32_t slot = 0; slot < edge.list_set.size(); ++slot) {
-      if (edge.list_set[slot] == kNilId) {
-        continue;
-      }
-      ++stats.checked;
-      if (master_set_[slot] == kNilId &&
-          !replayed_lists.contains(addr_of[slot])) {
-        orphan_lists.push_back(addr_of[slot]);
-      }
-    }
-    for (const auto& [group, state] : edge.groups) {
-      ++stats.checked;
-      if (latest_groups_.find(group) == latest_groups_.end() &&
-          !replayed_groups.contains(group)) {
-        orphan_groups.push_back(group);
-      }
-    }
-  }
-  std::sort(orphan_lists.begin(), orphan_lists.end());
-  orphan_lists.erase(std::unique(orphan_lists.begin(), orphan_lists.end()),
-                     orphan_lists.end());
-  std::sort(orphan_groups.begin(), orphan_groups.end());
-  orphan_groups.erase(std::unique(orphan_groups.begin(), orphan_groups.end()),
-                      orphan_groups.end());
-  for (IpAddress endpoint : orphan_lists) {
-    RemovePermitList(endpoint);
-    ++stats.deltas_applied;
-  }
-  for (EndpointGroupId group : orphan_groups) {
-    RemoveGroup(group);
-    ++stats.deltas_applied;
-  }
+  // only mismatches. Edges already holding the intended set are left alone
+  // — no message, no epoch bump, their cached verdicts survive. A replayed
+  // removal tombstoned every edge, so the orphan sweep finds only state the
+  // snapshot predates.
+  PushLagging(lists_, SlotAddresses(), replay_start, true, stats);
+  PushLagging(groups_, group_ids_, replay_start, true, stats);
+  SweepOrphans(lists_, stats);
+  SweepOrphans(groups_, stats);
   return stats;
 }
 
 std::string EdgeFilterBank::StateFingerprint() const {
-  auto entry_fp = [](const PermitEntry& e) {
-    return e.source.ToString() + "~g" + std::to_string(e.source_group.value()) +
-           "~" + std::to_string(e.dst_ports.lo) + "-" +
-           std::to_string(e.dst_ports.hi) + "~" +
-           std::to_string(static_cast<int>(e.proto));
-  };
-  auto entries_fp = [&](const std::vector<PermitEntry>& entries) {
-    std::string out = "[";
-    for (const PermitEntry& e : entries) {
-      out += entry_fp(e);
-      out += ",";
-    }
-    out += "]";
-    return out;
-  };
   std::string out;
-  for (const auto& [endpoint, slot] : SortedMasterEndpoints()) {
-    out += "M " + endpoint.ToString() + " " +
-           entries_fp(sets_.Get(master_set_[slot]).entries) + "\n";
-  }
-  std::vector<EndpointGroupId> groups;
-  for (const auto& [group, master] : latest_groups_) {
-    groups.push_back(group);
-  }
-  std::sort(groups.begin(), groups.end());
-  for (EndpointGroupId group : groups) {
-    std::vector<IpAddress> members(latest_groups_.at(group).members.begin(),
-                                   latest_groups_.at(group).members.end());
-    std::sort(members.begin(), members.end());
-    out += "MG " + std::to_string(group.value()) + " [";
-    for (IpAddress m : members) {
-      out += m.ToString() + ",";
-    }
-    out += "]\n";
-  }
-  const std::vector<IpAddress> addr_of = SlotAddresses();
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    const EdgeState& edge = edges_[i];
-    std::vector<std::pair<IpAddress, uint32_t>> installed;
-    for (uint32_t slot = 0; slot < edge.list_set.size(); ++slot) {
-      if (edge.list_set[slot] != kNilId) {
-        installed.emplace_back(addr_of[slot], edge.list_set[slot]);
-      }
-    }
-    std::sort(installed.begin(), installed.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [endpoint, set_id] : installed) {
-      out += "E" + std::to_string(i) + " " + endpoint.ToString() + " " +
-             entries_fp(sets_.Get(set_id).entries) + "\n";
-    }
-    std::vector<EndpointGroupId> edge_groups;
-    for (const auto& [group, state] : edge.groups) {
-      edge_groups.push_back(group);
-    }
-    std::sort(edge_groups.begin(), edge_groups.end());
-    for (EndpointGroupId group : edge_groups) {
-      std::vector<IpAddress> members(edge.groups.at(group).members.begin(),
-                                     edge.groups.at(group).members.end());
-      std::sort(members.begin(), members.end());
-      out += "EG" + std::to_string(i) + " " + std::to_string(group.value()) +
-             " [";
-      for (IpAddress m : members) {
-        out += m.ToString() + ",";
-      }
-      out += "]\n";
-    }
-  }
+  AppendFingerprint(lists_, SlotAddresses(), "", out);
+  AppendFingerprint(groups_, group_ids_, "G", out);
   return out;
 }
 

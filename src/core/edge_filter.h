@@ -30,17 +30,23 @@
 // every in-flight install of the same byte-identical list share one
 // std::vector<PermitEntry> and one compiled matcher. Per endpoint per edge
 // the steady-state cost is 12 bytes, vs a ~56-byte unordered_map node plus
-// a private entries vector before the diet. ApproxBytes() feeds E10's
+// a private entries vector before the diet. Endpoint groups are a second
+// instance of the same machinery: group ids get dense slots, member sets
+// are interned once per bank as sorted address vectors, and an edge holds
+// 12 bytes per group, so a group's footprint does not grow with the edge
+// count. A removal leaves a versioned tombstone on each edge, so installs
+// still in flight when it happens land as stale. ApproxBytes() feeds E10's
 // bytes/endpoint records and the telemetry gauges.
 
 #ifndef TENANTNET_SRC_CORE_EDGE_FILTER_H_
 #define TENANTNET_SRC_CORE_EDGE_FILTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -204,9 +210,9 @@ class EdgeFilterBank {
 
   // Registers an ingress edge; returns its index.
   size_t AddEdge(const std::string& name);
-  size_t edge_count() const { return edges_.size(); }
+  size_t edge_count() const { return edge_names_.size(); }
   const std::string& edge_name(size_t edge_index) const {
-    return edges_[edge_index].name;
+    return edge_names_[edge_index];
   }
 
   // Replaces the permit list for `endpoint` on every edge. Returns the
@@ -242,7 +248,8 @@ class EdgeFilterBank {
 
   // Same verdict via the original linear scan over the installed entries
   // (the pre-fast-path data plane). Reference implementation for the
-  // equivalence property test and the bench speedup baseline.
+  // equivalence property test and the bench speedup baseline. Both oracles
+  // test group membership by binary search in the edge's member set.
   bool AdmitsLinear(size_t edge_index, const FiveTuple& flow) const;
 
   // True if the edge currently holds any list for `endpoint` (distinguishes
@@ -293,26 +300,28 @@ class EdgeFilterBank {
   ReconcileStats CompleteRestart(RestartMode mode,
                                  const FilterBankSnapshot& snap);
 
-  // Version-free fingerprint of the semantic state (master + per-edge
-  // installed lists and groups), for the warm-vs-cold differential oracle:
-  // the two completion modes assign different version numbers but must land
-  // on identical filtering behavior.
+  // Version-free fingerprint of the semantic state, for the warm-vs-cold
+  // differential oracle: the two completion modes assign different version
+  // numbers but must land on identical filtering behavior. One line per
+  // entry, "<tag> <key> [<payload>]", sorted by key; the tag is M / MG for
+  // the master's lists / groups and E<i> / EG<i> for edge i's.
   std::string StateFingerprint() const;
 
   // --- Scale metrics --------------------------------------------------------
   uint64_t total_installed_entries() const;       // sum over edges
   uint64_t update_messages_sent() const { return messages_; }
-  uint64_t endpoints_with_lists() const { return master_lists_; }
+  uint64_t endpoints_with_lists() const { return lists_.master_count; }
   uint64_t messages_dropped() const { return messages_dropped_; }
 
   // --- Memory accounting (E10) ---------------------------------------------
-  // Resident footprint of the bank's endpoint-indexed state: slot index,
-  // SoA columns (bank-wide and per edge), interned permit sets including
-  // their compiled matchers, and group replicas. Capacity-based.
+  // Resident footprint of the bank's replicated state: slot indexes, SoA
+  // columns (bank-wide and per edge), interned permit sets including their
+  // compiled matchers, and interned group member sets. Capacity-based.
   size_t ApproxBytes() const;
   // Distinct interned permit lists alive (master + edges + in flight).
-  size_t distinct_permit_sets() const { return sets_.size(); }
-  size_t endpoint_slots() const { return slots_.size(); }
+  size_t distinct_permit_sets() const { return lists_.sets.size(); }
+  // Distinct interned group member sets alive (master + edges + in flight).
+  size_t distinct_member_sets() const { return groups_.sets.size(); }
   // Pre-sizes the slot index and columns for `n` endpoints.
   void ReserveEndpoints(size_t n);
   // Drops growth slack in the index/columns before measuring.
@@ -361,6 +370,8 @@ class EdgeFilterBank {
     friend bool operator==(const PermitSet& a, const PermitSet& b) {
       return a.entries == b.entries;
     }
+    std::string Fingerprint() const;
+    size_t HeapBytes() const;
   };
   struct PermitSetHash {
     size_t operator()(const PermitSet& set) const {
@@ -375,20 +386,103 @@ class EdgeFilterBank {
       return h;
     }
   };
+  // An interned group member set, sorted and deduplicated (membership is a
+  // binary search).
+  struct MemberSet {
+    std::vector<IpAddress> members;
+    friend bool operator==(const MemberSet&, const MemberSet&) = default;
+    std::string Fingerprint() const;
+    size_t HeapBytes() const { return members.capacity() * sizeof(IpAddress); }
+  };
+  struct MemberSetHash {
+    size_t operator()(const MemberSet& set) const {
+      size_t h = 1469598103934665603ull;
+      for (IpAddress a : set.members) {
+        h = h * 1099511628211ull ^ std::hash<IpAddress>{}(a);
+      }
+      return h;
+    }
+  };
 
-  struct GroupState {
-    uint64_t version = 0;
-    std::unordered_set<IpAddress> members;
+  // Slot-indexed (version, interned set id) columns. Version 0 = never
+  // written; a nonzero version with a nil set is a tombstone, which
+  // outranks every install sent before the removal.
+  struct Column {
+    std::vector<uint64_t> version;
+    std::vector<uint32_t> set;
+    uint32_t SetAt(uint32_t slot) const {
+      return slot < set.size() ? set[slot] : kNilId;
+    }
+    size_t ApproxBytes() const {
+      return version.capacity() * sizeof(uint64_t) +
+             set.capacity() * sizeof(uint32_t);
+    }
   };
-  struct EdgeState {
-    std::string name;
-    // Struct-of-arrays, indexed by endpoint slot (grown lazily): installed
-    // list version (0 = none) and interned set id (kNilId = none).
-    std::vector<uint64_t> list_version;
-    std::vector<uint32_t> list_set;
-    std::unordered_map<EndpointGroupId, GroupState> groups;
-    uint64_t entry_count = 0;
+
+  // One kind of replicated intent: payloads interned once per bank and
+  // shared by the master copy, every edge replica and every in-flight apply.
+  // Permit lists (slot = endpoint) and group member sets (slot = group) are
+  // the two instances; the replication protocol below is written once over
+  // this type.
+  template <typename Payload, typename Hash>
+  struct Replica {
+    InternPool<Payload, Hash> sets;
+    Column master;
+    std::vector<Column> edges;  // per edge, grown lazily to slot_count()
+    uint64_t master_count = 0;  // slots holding a master set
+
+    uint32_t slot_count() const {
+      return static_cast<uint32_t>(master.set.size());
+    }
+    uint32_t AddSlot() {
+      master.version.push_back(0);
+      master.set.push_back(kNilId);
+      return slot_count() - 1;
+    }
+    // Replaces the master entry (kNilId clears it), consuming the caller's
+    // reference.
+    void SetMaster(uint32_t slot, uint32_t set_id, uint64_t version) {
+      if (master.set[slot] != kNilId) {
+        sets.Release(master.set[slot]);
+        --master_count;
+      }
+      master_count += set_id != kNilId ? 1 : 0;
+      master.set[slot] = set_id;
+      master.version[slot] = version;
+    }
+    // Writes (set_id, version) into edge `i` unless it already holds this
+    // version or a newer one; consumes one reference on `set_id` either
+    // way. Returns false for a stale write.
+    bool Write(size_t i, uint32_t slot, uint32_t set_id, uint64_t version) {
+      Column& edge = edges[i];
+      if (edge.set.size() <= slot) {
+        edge.version.resize(slot_count(), 0);
+        edge.set.resize(slot_count(), kNilId);
+      }
+      const bool stale = edge.version[slot] >= version;
+      const uint32_t drop = stale ? set_id : edge.set[slot];
+      if (drop != kNilId) {
+        sets.Release(drop);
+      }
+      if (!stale) {
+        edge.set[slot] = set_id;
+        edge.version[slot] = version;
+      }
+      return !stale;
+    }
+    // Every slot, in key order (`key_of` maps slot -> key).
+    template <typename Key>
+    std::vector<uint32_t> SlotsByKey(const std::vector<Key>& key_of) const {
+      std::vector<uint32_t> out(slot_count());
+      std::iota(out.begin(), out.end(), 0u);
+      std::sort(out.begin(), out.end(), [&](uint32_t a, uint32_t b) {
+        return key_of[a] < key_of[b];
+      });
+      return out;
+    }
   };
+  using ListReplica = Replica<PermitSet, PermitSetHash>;
+  using GroupReplica = Replica<MemberSet, MemberSetHash>;
 
   struct VerdictKey {
     uint64_t edge = 0;
@@ -410,14 +504,9 @@ class EdgeFilterBank {
     }
   };
 
-  struct MasterGroup {
-    uint64_t version = 0;
-    std::unordered_set<IpAddress> members;
-  };
-
-  // A mutation accepted while the control plane was down, replayed at
-  // CompleteRestart().
-  struct PendingOp {
+  // One intent mutation. Applied at once, or buffered while the control
+  // plane is down and replayed at CompleteRestart().
+  struct Op {
     enum class Kind : uint8_t {
       kSetList,
       kUpdateList,
@@ -426,48 +515,87 @@ class EdgeFilterBank {
       kRemoveGroup,
     };
     Kind kind = Kind::kSetList;
-    IpAddress endpoint;               // list ops
-    std::vector<PermitEntry> entries; // kSetList; kUpdateList: adds
-    std::vector<PermitEntry> removes; // kUpdateList only
-    EndpointGroupId group;            // group ops
-    std::vector<IpAddress> members;   // kSetGroup
+    IpAddress endpoint{};               // list ops
+    std::vector<PermitEntry> entries{}; // kSetList; kUpdateList: adds
+    std::vector<PermitEntry> removes{}; // kUpdateList only
+    EndpointGroupId group{};            // group ops
+    std::vector<IpAddress> members{};   // kSetGroup
   };
 
+  SimTime Now() const {
+    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  }
   // One message's delivery delay, including any degraded-mode drop/retry
   // rounds. Advances the RNG; all draws happen here, at send time.
   SimDuration SampleDeliveryLatency();
 
-  // Sends one list install to a subset of edges (the shared fan-out core of
-  // SetPermitList and the warm reconcile sweep). Consumes one reference on
-  // `set_id` (the caller's), assigns a fresh version to the master slot,
+  // --- The replication protocol, once for both kinds of intent -------------
+  // Sends one install to a subset of edges (the shared fan-out core of
+  // Set*, the cold re-push and the warm reconcile). Consumes one reference
+  // on `set_id` (the caller's), assigns a fresh version to the master slot,
   // and takes per-message references for the in-flight applies. Returns
   // last apply time.
-  SimTime PushListTo(IpAddress endpoint, uint32_t set_id,
-                     const std::vector<size_t>& targets);
-  SimTime PushGroupTo(EndpointGroupId group,
-                      const std::unordered_set<IpAddress>& members,
-                      const std::vector<size_t>& targets);
+  template <typename R>
+  SimTime PushTo(R& r, uint32_t slot, uint32_t set_id,
+                 const std::vector<size_t>& targets);
+  // Removes the slot: master cleared, and one message carrying a
+  // fresh-version tombstone to each target edge.
+  template <typename R>
+  void RemoveSlot(R& r, uint32_t slot, const std::vector<size_t>& targets);
+  // Tombstones `slot` on the target edges; true if any of them held a set.
+  template <typename R>
+  bool Tombstone(R& r, uint32_t slot, uint64_t version,
+                 const std::vector<size_t>& targets);
+  // Re-pushes each master slot (in key order) whose version predates
+  // `since` to the edges whose installed set differs; interned ids are
+  // canonical, so an id compare is a content compare. `diff` counts the
+  // compares in `checked`.
+  template <typename R, typename Key>
+  void PushLagging(R& r, const std::vector<Key>& key_of, uint64_t since,
+                   bool diff, ReconcileStats& stats);
+  // Removes slots still installed on some edge with no master intent (the
+  // snapshot predates their removal).
+  template <typename R>
+  void SweepOrphans(R& r, ReconcileStats& stats);
+  // Appends master and per-edge lines for one kind, sorted by key.
+  template <typename R, typename Key>
+  void AppendFingerprint(const R& r, const std::vector<Key>& key_of,
+                         const std::string& tag, std::string& out) const;
+  template <typename R>
+  static size_t ReplicaBytes(const R& r);
+
+  // What differs by kind. A list is compiled once per *distinct* list,
+  // before its first send (interning means a byte-identical list anywhere
+  // reuses the same immutable matcher), and its applies bump the endpoint's
+  // epoch; group applies bump the bank-wide epoch.
+  void Prepare(ListReplica&, uint32_t set_id);
+  void Prepare(GroupReplica&, uint32_t) {}
+  void Bump(const ListReplica&, uint32_t slot) { BumpEndpointEpoch(slot); }
+  void Bump(const GroupReplica&, uint32_t) { BumpGlobalEpoch(); }
+
   std::vector<size_t> AllEdgeIndices() const;
-  // Folds a buffered op into the master copy only (cold completion rebuilds
-  // the data plane afterwards in one pass).
-  void ApplyOpToMaster(const PendingOp& op);
+  // Applies `op` now to every edge, or buffers it during a restart.
+  SimTime Submit(Op op);
+  // Applies `op` to the master and fans it out to `targets` (none: the
+  // master only, as a cold completion folds buffered ops before its
+  // rebuild). Returns last apply time.
+  SimTime Apply(Op op, const std::vector<size_t>& targets);
+  uint32_t InternMembers(std::vector<IpAddress> members);
+  // Does edge `i`'s replica of `group` contain `addr`?
+  bool GroupHas(size_t i, EndpointGroupId group, IpAddress addr) const;
 
   // Dense slot for an endpoint address, creating it (and growing the
   // bank-wide columns) on first sight. Slots are never recycled: the
   // verdict epoch column must survive list removal and restarts.
   uint32_t SlotFor(IpAddress endpoint);
   uint32_t SlotOf(IpAddress endpoint) const { return slots_.Lookup(endpoint); }
+  uint32_t GroupSlotFor(EndpointGroupId group);
+  uint32_t GroupSlotOf(EndpointGroupId group) const {
+    auto it = group_slots_.find(group);
+    return it == group_slots_.end() ? kNilId : it->second;
+  }
   // slot -> address (transient, for the rare sorted sweeps/fingerprints).
   std::vector<IpAddress> SlotAddresses() const;
-  // Master endpoints (slots holding a master set), sorted by address.
-  std::vector<std::pair<IpAddress, uint32_t>> SortedMasterEndpoints() const;
-
-  // Drops the master set reference for `slot`, if any.
-  void ClearMasterSet(uint32_t slot);
-  // Replaces the master set for `slot`, consuming the caller's reference.
-  void AssignMasterSet(uint32_t slot, uint32_t set_id);
-  // Compiles the set's matcher if this distinct list has never compiled.
-  void EnsureCompiled(uint32_t set_id);
 
   // Epoch bumps, called at *apply* time (when edge state actually changes).
   void BumpEndpointEpoch(uint32_t slot) {
@@ -489,25 +617,23 @@ class EdgeFilterBank {
   EdgeFilterParams params_;
   bool degraded_ = false;
   uint64_t messages_dropped_ = 0;
-  std::vector<EdgeState> edges_;
+  std::vector<std::string> edge_names_;
 
-  // Endpoint slot index + bank-wide SoA columns (all sized to slot count).
+  // Endpoint slot index + the per-endpoint verdict epoch (survives
+  // restarts), and the group slot index (slot -> id in group_ids_).
   AddrIndex slots_;
-  std::vector<uint64_t> slot_epoch_;      // verdict epoch; survives restarts
-  std::vector<uint64_t> master_version_;  // control-plane master; 0 = none
-  std::vector<uint32_t> master_set_;      // interned master list; kNilId = none
-  uint64_t master_lists_ = 0;             // slots with master_version_ != 0
+  std::vector<uint64_t> slot_epoch_;
+  std::unordered_map<EndpointGroupId, uint32_t> group_slots_;
+  std::vector<EndpointGroupId> group_ids_;
 
-  // Interned permit lists shared by master, edges and in-flight applies.
-  InternPool<PermitSet, PermitSetHash> sets_;
-
-  std::unordered_map<EndpointGroupId, MasterGroup> latest_groups_;
+  ListReplica lists_;
+  GroupReplica groups_;
   uint64_t next_version_ = 1;
   uint64_t messages_ = 0;
 
   // Restart protocol state (see reconcile.h).
   bool in_restart_ = false;
-  std::vector<PendingOp> pending_ops_;
+  std::vector<Op> pending_ops_;
 
   // Verdict fast path. Scoped epochs: list applies/removals bump the
   // endpoint's epoch, group applies/removals bump the bank-wide one; gen_

@@ -6,6 +6,7 @@
 
 #include "src/cloud/presets.h"
 #include "src/core/api.h"
+#include "src/sim/event_queue.h"
 
 namespace tenantnet {
 namespace {
@@ -65,6 +66,30 @@ TEST_F(DeclarativeTest, ReleaseEipCleansEverything) {
   // The address can be re-issued.
   InstanceId vm2 = Launch(tw_.east);
   EXPECT_EQ(*cloud_.RequestEip(vm2), eip);
+}
+
+// EIP pools re-issue the lowest free address first, so a permit list still
+// in flight when its EIP is released must not land on the address's next
+// owner: the re-issued EIP stays default-off once the queue drains.
+TEST(DeclarativeQueueTest, ReissuedEipStaysDefaultOffAfterInFlightInstall) {
+  TestWorld tw = BuildTestWorld();
+  EventQueue queue;
+  ConfigLedger ledger;
+  DeclarativeCloud cloud(*tw.world, ledger, &queue);
+  auto launch = [&] {
+    return *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
+  };
+  InstanceId client = launch();
+  IpAddress client_eip = *cloud.RequestEip(client);
+  IpAddress eip = *cloud.RequestEip(launch());
+  ASSERT_TRUE(cloud.SetPermitList(eip, {Permit(client_eip)}).ok());
+  ASSERT_TRUE(cloud.ReleaseEip(eip).ok());  // before the install lands
+  ASSERT_EQ(*cloud.RequestEip(launch()), eip);
+  queue.RunAll();
+  auto result = cloud.Evaluate(client, eip, 443, Protocol::kTcp);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->delivered);
+  EXPECT_EQ(result->drop_stage, "edge-filter");
 }
 
 TEST_F(DeclarativeTest, EipsAreFlatNonAggregatableForTheTenant) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/edge_filter.h"
+#include "src/sim/event_queue.h"
 
 namespace tenantnet {
 namespace {
@@ -136,6 +137,72 @@ TEST(EdgeFilterTest, StaleUpdateNeverOverwritesNewer) {
   // Final version (index 19, odd) permits 11/8 and not 10/8.
   EXPECT_TRUE(bank.Admits(0, Flow("11.1.1.1", "5.0.0.1", 443)));
   EXPECT_FALSE(bank.Admits(0, Flow("10.1.1.1", "5.0.0.1", 443)));
+}
+
+// A removal outranks every install sent before it: an older install still
+// in flight when the list is removed must land as stale, not bring the list
+// back (a released EIP is re-issued to its next owner default-off).
+TEST(EdgeFilterTest, RemovedListStaysRemovedWhenOlderInstallLands) {
+  EventQueue queue;
+  EdgeFilterBank bank("p", &queue, 7);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  IpAddress endpoint = *IpAddress::Parse("5.0.0.1");
+  bank.SetPermitList(endpoint, {Permit("10.0.0.0/8")});
+  bank.RemovePermitList(endpoint);  // before the install lands
+  EXPECT_TRUE(bank.IsConverged(endpoint));
+  queue.RunAll();
+  for (size_t edge = 0; edge < 2; ++edge) {
+    EXPECT_FALSE(bank.Admits(edge, Flow("10.1.1.1", "5.0.0.1", 443)));
+    EXPECT_FALSE(bank.HasList(edge, endpoint));
+  }
+  EXPECT_EQ(bank.MasterEntriesOf(endpoint), nullptr);
+  EXPECT_TRUE(bank.IsConverged(endpoint));
+  EXPECT_EQ(bank.distinct_permit_sets(), 0u);
+}
+
+TEST(EdgeFilterTest, RemovedGroupStaysRemovedWhenOlderInstallLands) {
+  EventQueue queue;
+  EdgeFilterBank bank("p", &queue, 7);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  EndpointGroupId group(1);
+  PermitEntry entry;
+  entry.source_group = group;
+  bank.SetPermitList(*IpAddress::Parse("5.0.0.1"), {entry});
+  queue.RunAll();
+  bank.SetGroup(group, {*IpAddress::Parse("10.1.1.1")});
+  bank.RemoveGroup(group);  // before the member set lands
+  queue.RunAll();
+  for (size_t edge = 0; edge < 2; ++edge) {
+    FiveTuple flow = Flow("10.1.1.1", "5.0.0.1", 443);
+    EXPECT_FALSE(bank.Admits(edge, flow));
+    EXPECT_FALSE(bank.AdmitsLinear(edge, flow));
+  }
+}
+
+// Member sets are interned once per bank: every edge replica and every
+// in-flight apply shares one copy, so adding edges adds only 12-byte column
+// cells, not another copy of the members.
+TEST(EdgeFilterTest, GroupFootprintDoesNotScaleWithEdgeCount) {
+  auto group_bytes = [](int edges) {
+    EventQueue queue;
+    EdgeFilterBank bank("p", &queue, 7);
+    for (int e = 0; e < edges; ++e) {
+      bank.AddEdge("e" + std::to_string(e));
+    }
+    std::vector<IpAddress> members;
+    for (uint32_t i = 0; i < 1000; ++i) {
+      members.push_back(IpAddress::V4(0x0A000000u + i));
+    }
+    const size_t before = bank.ApproxBytes();
+    bank.SetGroup(EndpointGroupId(1), members);
+    queue.RunAll();
+    return static_cast<double>(bank.ApproxBytes() - before);
+  };
+  const double one = group_bytes(1);
+  ASSERT_GT(one, 0.0);
+  EXPECT_LT(group_bytes(8), 1.5 * one);
 }
 
 // --- Verdict fast path -------------------------------------------------------
